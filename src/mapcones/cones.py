@@ -11,9 +11,13 @@ commutes) and never remain in the tree.
 Membership verdicts are certified: a Member carries a certificate and a
 NotMember carries a witness, each of which :func:`recheck` re-verifies from
 scratch.  Complete positivity is decided exactly via the Choi spectrum;
-k-positivity has a sound refuter (projection-pair search) plus an exact
-certifier for maps whose Choi matrix has the ``a*I - b|w><w|`` spectral
-pattern; k-superpositivity is certified by explicit Kraus decompositions.
+k-positivity has a sound refuter plus an exact certifier for maps whose
+Choi matrix has the ``a*I - b|w><w|`` spectral pattern.  The refuter
+minimizes the Choi quadratic form over vectors of Schmidt rank <= k (the
+generators of SPk, the dual of Pk) by batched alternating minimization; at
+k = 1 the minimizer is a vector pair, at k > 1 its range and row projections
+give a projection pair.  k-superpositivity is certified by explicit Kraus
+decompositions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .linalg import DimensionError
@@ -255,6 +258,14 @@ def includes(outer: ConeExpr, inner: ConeExpr) -> bool:
 
 @dataclass(frozen=True)
 class MemberConfig:
+    """Settings of the membership and witness searches.
+
+    ``tol`` is the decision tolerance, ``samples`` bounds the sampled
+    generators, ``seed`` fixes every random start, and ``max_iters`` is the
+    upper bound on alternating-minimization sweeps (the refuters stop
+    earlier once they converge) and on Kraus basis-mixing attempts.
+    """
+
     tol: float = 1e-9
     samples: int = 500
     seed: int = 0
@@ -275,12 +286,6 @@ class Verdict:
     certificate: Optional[dict] = None
     witness: Optional[dict] = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _min_eig(choi, tol):
-    h = (np.asarray(choi) + np.asarray(choi).conj().T) / 2
-    vals, vecs = np.linalg.eigh(h)
-    return float(vals[0]), vecs[:, 0], vals, vecs
 
 
 def pair(psi: SuperOperator, phi: SuperOperator, tol: float = 1e-9) -> float:
@@ -304,7 +309,7 @@ def _spectral_family_pattern(phi: SuperOperator, tol: float):
     d = phi.m * phi.n
     if d < 2:
         return None
-    vals, vecs = np.linalg.eigh((phi.choi + phi.choi.conj().T) / 2)
+    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
     a = float(np.median(vals[1:]))
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.max(np.abs(vals[1:] - a)) > 100 * tol * scale:
@@ -420,90 +425,95 @@ def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[
 # Refutation searches
 # ---------------------------------------------------------------------------
 
+# A restart has converged once a sweep lowers its value by no more than this,
+# relative to max(1, |value|).
+_SWEEP_DROP = 1e-12
+_VECTOR_RESTARTS = 32
+
+
+def _rank_k_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed):
+    """Minimize vec(V)^H C vec(V) over unit-norm V = X Y of Schmidt rank <= k.
+
+    X is n x k and Y is k x m, so vec(X Y) spans exactly the vectors of
+    Schmidt rank <= k in K x H.  All restarts run as one stacked batch of
+    alternating half-steps.  Each half-step orthonormalizes the factor held
+    fixed (QR of Y^H, or of X), so ||X Y|| is the norm of the free factor and
+    the exact minimum over it is the lowest eigenpair of a Hermitian
+    (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
+    no restart's value increases.  Sweeps stop after ``max_iters`` or once
+    no restart's value dropped by more than ``_SWEEP_DROP * max(1, |value|)``.
+
+    Returns ``(value, x, y)`` of the best restart; x has orthonormal columns
+    and ||y|| = 1, so ||x @ y|| = 1.
+    """
+    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    rng = np.random.default_rng(seed)
+    x = linalg.random_complex((restarts, n, k), rng)
+    y = linalg.random_complex((restarts, k, m), rng)
+    vals = np.full(restarts, np.inf)
+    for _ in range(max_iters):
+        prev = vals
+        # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows
+        q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
+        mat = np.einsum("zar,aibj,zbs->zrisj", q, c4, q.conj())
+        _, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * n, k * n))
+        x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
+        # X = Q R: X Y = Q (R Y), and Q has orthonormal columns
+        q, _ = np.linalg.qr(x)
+        mat = np.einsum("zir,aibj,zjs->zrasb", q.conj(), c4, q)
+        vals, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
+        vals = vals[:, 0]
+        x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
+        if np.all(prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))):
+            break
+    best = int(np.argmin(vals))
+    return float(vals[best]), x[best], y[best]
+
+
 def _positivity_refute(phi: SuperOperator, cfg: MemberConfig):
     """Minimize <omega, Phi(upsilon upsilon*) omega> over unit vectors.
 
-    Alternating exact eigenvector updates; each half-step is the global
-    optimum in one argument, so the value is non-increasing.
+    The k = 1 case of :func:`_rank_k_min`: V = X Y = omega upsilon^H.
+    Returns ``(value, upsilon, omega)``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    adj = phi.adjoint()
-    best = (np.inf, None, None)
-    for _ in range(32):
-        ups = linalg.random_complex((phi.m,), rng)
-        ups = ups / np.linalg.norm(ups)
-        omega = None
-        for _ in range(cfg.max_iters):
-            a = phi.apply(np.outer(ups, ups.conj()))
-            _, omega_new, *_ = _min_eig(a, cfg.tol)
-            omega = omega_new
-            b = adj.apply(np.outer(omega, omega.conj()))
-            _, ups, *_ = _min_eig(b, cfg.tol)
-        val = float(np.real(np.vdot(omega, phi.apply(np.outer(ups, ups.conj())) @ omega)))
-        if val < best[0]:
-            best = (val, ups, omega)
-    return best
+    _, x, y = _rank_k_min(phi.choi, phi.m, phi.n, 1, _VECTOR_RESTARTS, cfg.max_iters,
+                          cfg.seed)
+    omega, ups = x[:, 0], y[0].conj()
+    val = float(np.real(np.vdot(omega, phi.apply(np.outer(ups, ups.conj())) @ omega)))
+    return val, ups, omega
 
 
 def _schmidt_rank_min(choi, m: int, n: int, k: int, cfg: MemberConfig, restarts: int = 8):
     """Minimize the Choi quadratic form over unit vectors of Schmidt rank <= k.
 
-    Alternating generalized-eigenvalue steps on the factorization V = X Y
-    with X of shape (n, k) and Y of shape (k, m); vec(X Y) spans exactly the
-    Schmidt-rank-<= k vectors in K x H.
+    Returns ``(value, V)`` with V the n x m minimizer, ||vec(V)|| = 1.
     """
-    c = (np.asarray(choi) + np.asarray(choi).conj().T) / 2
-    rng = np.random.default_rng(cfg.seed + 1)
-    eye_n, eye_m = np.eye(n), np.eye(m)
-    best = (np.inf, None)
+    quad, x, y = _rank_k_min(choi, m, n, k, restarts, cfg.max_iters, cfg.seed + 1)
+    return quad, x @ y
 
-    def _half_step(basis):
-        mat = basis.conj().T @ c @ basis
-        gram = basis.conj().T @ basis
-        gram = (gram + gram.conj().T) / 2 + 1e-12 * np.eye(gram.shape[0])
-        vals, vecs = scipy.linalg.eigh((mat + mat.conj().T) / 2, gram)
-        return float(vals[0]), vecs[:, 0]
 
-    for _ in range(restarts):
-        x = linalg.random_complex((n, k), rng)
-        y = linalg.random_complex((k, m), rng)
-        val = np.inf
-        for _ in range(cfg.max_iters):
-            val, xv = _half_step(np.kron(y.T, eye_n))
-            x = unvec(xv, k, n)
-            val, yv = _half_step(np.kron(eye_m, x))
-            y = unvec(yv, m, k)
-        v = x @ y
-        nrm = np.linalg.norm(vec(v))
-        if nrm > 0:
-            v = v / nrm
-            quad = float(np.real(np.vdot(vec(v), c @ vec(v))))
-            if quad < best[0]:
-                best = (quad, v)
-    return best
+def _failing_projection_pair(phi: SuperOperator, e, f, tol: float):
+    """``(E, F, eigenvalue, vector)`` if Ad_E . Phi . Ad_F fails the CP test, else None."""
+    comp = ad_map(e).compose(phi).compose(ad_map(f))
+    vals, vecs = linalg.hermitian_part_eigen(comp.choi)
+    if vals[0] < -tol:
+        return e, f, float(vals[0]), vecs[:, 0]
+    return None
 
 
 def _rank_k_projection_pair_refute(phi: SuperOperator, k: int, cfg: MemberConfig):
-    """Search for rank-k projections (E, F) making Ad_E . Phi . Ad_F fail the CP test."""
-    rng = np.random.default_rng(cfg.seed)
-    n_sample = min(cfg.samples, 200)
-    for _ in range(n_sample):
-        e = linalg.random_projection(phi.n, k, rng)
-        f = linalg.random_projection(phi.m, k, rng)
-        comp = ad_map(e).compose(phi).compose(ad_map(f))
-        val, vec_neg, *_ = _min_eig(comp.choi, cfg.tol)
-        if val < -cfg.tol:
-            return e, f, val, vec_neg
-    # local optimization over Schmidt-rank-k vectors, then read projections off
+    """Rank-k projections (E, F) making Ad_E . Phi . Ad_F fail the CP test.
+
+    E and F project onto the range and the row space of the Schmidt-rank-k
+    minimizer V.  The composition's quadratic form at vec(W) is Phi's at
+    vec(E W F), so its lowest eigenvalue is at most the value at V, and no
+    sampled projection pair can do better than the minimizer.
+    """
     quad, v = _schmidt_rank_min(phi.choi, phi.m, phi.n, k, cfg)
-    if v is not None and quad < -cfg.tol:
-        e = _range_projection(v, k)
-        f = _range_projection(v.conj().T, k)
-        comp = ad_map(e).compose(phi).compose(ad_map(f))
-        val, vec_neg, *_ = _min_eig(comp.choi, cfg.tol)
-        if val < -cfg.tol:
-            return e, f, val, vec_neg
-    return None
+    if quad >= -cfg.tol:
+        return None
+    return _failing_projection_pair(phi, _range_projection(v, k),
+                                    _range_projection(v.conj().T, k), cfg.tol)
 
 
 def _range_projection(v, k: int) -> np.ndarray:
@@ -524,11 +534,7 @@ def _family_projection_witness(phi: SuperOperator, w, k: int, cfg: MemberConfig)
     u, s, vh = np.linalg.svd(unvec(w, m, n))
     e = u[:, :k] @ u[:, :k].conj().T
     f = vh[:k].conj().T @ vh[:k]
-    comp = ad_map(e).compose(phi).compose(ad_map(f))
-    val, vec_neg, *_ = _min_eig(comp.choi, cfg.tol)
-    if val < -cfg.tol:
-        return e, f, val, vec_neg
-    return None
+    return _failing_projection_pair(phi, e, f, cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +542,8 @@ def _family_projection_witness(phi: SuperOperator, w, k: int, cfg: MemberConfig)
 # ---------------------------------------------------------------------------
 
 def _cp_verdict(phi: SuperOperator, cfg: MemberConfig) -> Verdict:
-    val, vec_neg, vals, _ = _min_eig(phi.choi, cfg.tol)
+    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+    val, vec_neg = float(vals[0]), vecs[:, 0]
     diag = {"min_eigenvalue": val, "cfg": cfg.as_dict()}
     if val >= -cfg.tol:
         return Verdict(MEMBER, certificate={"type": "psd_floor", "min_eigenvalue": val},
@@ -549,7 +556,7 @@ def _cp_verdict(phi: SuperOperator, cfg: MemberConfig) -> Verdict:
 
 def _kraus_from_eigen(phi: SuperOperator, k: int, cfg: MemberConfig):
     """Try to exhibit a Kraus decomposition with all operator ranks <= k."""
-    vals, vecs = np.linalg.eigh((phi.choi + phi.choi.conj().T) / 2)
+    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if vals[0] < -cfg.tol * scale:
         return None
@@ -645,7 +652,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                 return Verdict(NOT_MEMBER,
                                witness={"type": "vector_pair", "upsilon": ups,
                                         "omega": omega, "value": val},
-                               diagnostics={"route": "vector_search", "restarts": 32,
+                               diagnostics={"route": "vector_search",
+                                            "restarts": _VECTOR_RESTARTS,
                                             "cfg": cfg.as_dict()})
         else:
             found = _rank_k_projection_pair_refute(phi, k, cfg)
@@ -663,9 +671,10 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     if isinstance(expr, Base) and expr.kind == "SPk":
         k = expr.k
-        val, vec_neg, vals, _ = _min_eig(phi.choi, cfg.tol)
+        vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+        val = float(vals[0])
         if val < -cfg.tol:
-            x = unvec(vec_neg, m, n)
+            x = unvec(vecs[:, 0], m, n)
             return Verdict(NOT_MEMBER,
                            witness={"type": "dual_element",
                                     "psi": ad_map(x),
@@ -683,7 +692,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         dual_gens = _sample_with_certs(Base("Pk", k), m, n, min(cfg.samples, 100), rng)
         for psi, cert in dual_gens:
             comp = psi.adjoint().compose(phi)
-            cval, cvec, *_ = _min_eig(comp.choi, cfg.tol)
+            cval = float(linalg.hermitian_part_eigen(comp.choi)[0][0])
             if cval < -cfg.tol:
                 return Verdict(NOT_MEMBER,
                                witness={"type": "dual_element", "psi": psi,
@@ -775,13 +784,14 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
     if isinstance(d, Base) and d.kind in ("CP", "SPk"):
         k = kmax if d.kind == "CP" else d.k
         if k == kmax:
-            val, x, *_ = _min_eig(phi.choi, cfg.tol)
+            vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+            val = float(vals[0])
             if val < -cfg.tol:
-                op = unvec(x, m, n)
+                op = unvec(vecs[:, 0], m, n)
                 return ad_map(op), val, {"type": "kraus", "ops": [op], "rank_bound": kmax}
             return None
         quad, v = _schmidt_rank_min(phi.choi, m, n, k, cfg)
-        if v is not None and quad < -cfg.tol:
+        if quad < -cfg.tol:
             return ad_map(v), quad, {"type": "kraus", "ops": [v], "rank_bound": k}
         return None
     # fall back to sampled generators of the dual cone
@@ -847,7 +857,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
 def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     kind = cert["type"]
     if kind == "psd_floor":
-        vals = np.linalg.eigvalsh((phi.choi + phi.choi.conj().T) / 2)
+        vals, _ = linalg.hermitian_part_eigen(phi.choi)
         return bool(vals[0] >= -tol * max(1.0, abs(vals[-1])))
     if kind == "kraus":
         rebuilt = from_kraus(cert["ops"])
@@ -909,7 +919,7 @@ def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
         if wit.get("pairing") is not None:
             return pair(psi, phi, max(tol, 1e-8)) < -tol / 2
         comp = psi.adjoint().compose(phi)
-        vals = np.linalg.eigvalsh((comp.choi + comp.choi.conj().T) / 2)
+        vals, _ = linalg.hermitian_part_eigen(comp.choi)
         return bool(vals[0] < -tol / 2)
     if kind == "twirled":
         return _recheck_witness(phi.right_transpose(), wit["inner"], tol)

@@ -52,8 +52,18 @@ def hermitian_eigen(m, tol: float = DEFAULT_TOL):
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not self-adjoint within {tol} (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    return vals, vecs
+    return hermitian_part_eigen(m)
+
+
+def hermitian_part_eigen(m):
+    """Eigendecomposition of the Hermitian part (M + M^dagger) / 2.
+
+    Accepts a square matrix or a stack of them (leading batch axes).  Returns
+    ``(eigenvalues, eigenvectors)``, eigenvalues ascending and eigenvectors
+    as orthonormal columns; no self-adjointness check is made.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    return np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
 
 
 def singular_values(m) -> np.ndarray:

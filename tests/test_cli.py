@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +152,12 @@ def test_output_flag_writes_file(capsys, files, tmp_path):
 def test_global_flags_accepted_before_subcommand(capsys, files):
     assert cli.main(["--seed", "3", "--samples", "100", "member",
                      files["fam04"], "Pk(2)"]) == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import mapcones.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

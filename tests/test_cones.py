@@ -19,7 +19,7 @@ from mapcones.cones import (
     sample_generators,
     witness_search,
 )
-from mapcones.family import PhiLambdaSpec, build
+from mapcones.family import PhiLambdaSpec, build, k_positivity_threshold
 from mapcones.superop import ad_map, identity_map, trace_map, transpose_map
 
 RNG = np.random.default_rng(11)
@@ -266,3 +266,46 @@ def test_recheck_rejects_tampered_verdict():
     assert verdict.status == MEMBER
     other = transpose_map(2)
     assert not recheck(other, verdict)
+
+
+def _ckl_choi(a, b, c):
+    """Choi matrix of the Cho-Kye-Lee map Phi[a,b,c](X) = D(X) - X on 3x3
+    matrices, D(X) diagonal with D(X)_ii = sum_k A[i,k] x_kk for the
+    circulant A of (a, b, c)."""
+    circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    c4 = np.zeros((3, 3, 3, 3), dtype=complex)
+    for k in range(3):
+        c4[k, :, k, :] += np.diag(circ[:, k])
+        for l in range(3):
+            c4[k, k, l, l] -= 1.0
+    return c4.reshape(9, 9)
+
+
+def test_vector_search_refutes_non_positive_cho_kye_lee_map():
+    # a + b + c < 3: Phi[2, 0.8, 0] is not positive
+    phi = superop.from_choi(_ckl_choi(2.0, 0.8, 0.0), 3, 3)
+    verdict = member(phi, normalize(parse_cone("P"), 3, 3), CFG)
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == "vector_search"
+    assert verdict.witness["type"] == "vector_pair"
+    assert verdict.witness["value"] < -CFG.tol
+    assert recheck(phi, verdict)
+
+
+def test_projection_search_refutes_perturbed_family_map_above_threshold():
+    rng = np.random.default_rng(23)
+    v = linalg.random_complex((3, 3), rng)
+    lam = 1.3 * k_positivity_threshold(v, 2)
+    extra = superop.random_cp_map(3, 3, rng, 2).choi
+    # the generic CP term breaks the a*I - b|w><w| pattern
+    choi = build(PhiLambdaSpec(v, lam)).choi + 1e-3 * extra / np.linalg.eigvalsh(extra)[-1]
+    phi = superop.from_choi(choi, 3, 3)
+    verdict = member(phi, normalize(parse_cone("Pk(2)"), 3, 3), CFG)
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == "projection_search"
+    wit = verdict.witness
+    assert wit["type"] == "projection_pair" and wit["k"] == 2
+    assert np.linalg.matrix_rank(wit["E"], tol=1e-8) == 2
+    assert np.linalg.matrix_rank(wit["F"], tol=1e-8) == 2
+    assert wit["eigenvalue"] < -CFG.tol
+    assert recheck(phi, verdict)
