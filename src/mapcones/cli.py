@@ -251,8 +251,7 @@ def cmd_phi_lambda(args) -> int:
         if args.k is not None:
             if not 1 <= args.k <= kmax:
                 raise CliError(f"k must be in 1..{kmax}", EXIT_MALFORMED)
-            ok, witness = family.brute_force_k_positivity(
-                spec, args.k, args.samples, args.seed, args.tol)
+            ok, witness = family.brute_force_k_positivity(spec, args.k, args.seed, args.tol)
             result["k"] = args.k
             result["analytic_k_positive"] = bool(
                 args.lam <= thresholds[str(args.k)])

@@ -425,70 +425,29 @@ def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[
 # Refutation searches
 # ---------------------------------------------------------------------------
 
-# A restart has converged once a sweep lowers its value by no more than this,
-# relative to max(1, |value|).
-_SWEEP_DROP = 1e-12
 _VECTOR_RESTARTS = 32
-
-
-def _rank_k_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed):
-    """Minimize vec(V)^H C vec(V) over unit-norm V = X Y of Schmidt rank <= k.
-
-    X is n x k and Y is k x m, so vec(X Y) spans exactly the vectors of
-    Schmidt rank <= k in K x H.  All restarts run as one stacked batch of
-    alternating half-steps.  Each half-step orthonormalizes the factor held
-    fixed (QR of Y^H, or of X), so ||X Y|| is the norm of the free factor and
-    the exact minimum over it is the lowest eigenpair of a Hermitian
-    (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
-    no restart's value increases.  Sweeps stop after ``max_iters`` or once
-    no restart's value dropped by more than ``_SWEEP_DROP * max(1, |value|)``.
-
-    Returns ``(value, x, y)`` of the best restart; x has orthonormal columns
-    and ||y|| = 1, so ||x @ y|| = 1.
-    """
-    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
-    rng = np.random.default_rng(seed)
-    x = linalg.random_complex((restarts, n, k), rng)
-    y = linalg.random_complex((restarts, k, m), rng)
-    vals = np.full(restarts, np.inf)
-    for _ in range(max_iters):
-        prev = vals
-        # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows
-        q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
-        mat = np.einsum("zar,aibj,zbs->zrisj", q, c4, q.conj())
-        _, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * n, k * n))
-        x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
-        # X = Q R: X Y = Q (R Y), and Q has orthonormal columns
-        q, _ = np.linalg.qr(x)
-        mat = np.einsum("zir,aibj,zjs->zrasb", q.conj(), c4, q)
-        vals, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
-        vals = vals[:, 0]
-        x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
-        if np.all(prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))):
-            break
-    best = int(np.argmin(vals))
-    return float(vals[best]), x[best], y[best]
 
 
 def _positivity_refute(phi: SuperOperator, cfg: MemberConfig):
     """Minimize <omega, Phi(upsilon upsilon*) omega> over unit vectors.
 
-    The k = 1 case of :func:`_rank_k_min`: V = X Y = omega upsilon^H.
+    The k = 1 case of :func:`linalg.schmidt_rank_min`: V = X Y = omega upsilon^H.
     Returns ``(value, upsilon, omega)``.
     """
-    _, x, y = _rank_k_min(phi.choi, phi.m, phi.n, 1, _VECTOR_RESTARTS, cfg.max_iters,
-                          cfg.seed)
+    _, x, y = linalg.schmidt_rank_min(phi.choi, phi.m, phi.n, 1, _VECTOR_RESTARTS,
+                                      cfg.max_iters, cfg.seed)
     omega, ups = x[:, 0], y[0].conj()
     val = float(np.real(np.vdot(omega, phi.apply(np.outer(ups, ups.conj())) @ omega)))
     return val, ups, omega
 
 
-def _schmidt_rank_min(choi, m: int, n: int, k: int, cfg: MemberConfig, restarts: int = 8):
+def _schmidt_rank_min(choi, m: int, n: int, k: int, cfg: MemberConfig):
     """Minimize the Choi quadratic form over unit vectors of Schmidt rank <= k.
 
     Returns ``(value, V)`` with V the n x m minimizer, ||vec(V)|| = 1.
     """
-    quad, x, y = _rank_k_min(choi, m, n, k, restarts, cfg.max_iters, cfg.seed + 1)
+    quad, x, y = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS,
+                                         cfg.max_iters, cfg.seed + 1)
     return quad, x @ y
 
 
@@ -512,15 +471,14 @@ def _rank_k_projection_pair_refute(phi: SuperOperator, k: int, cfg: MemberConfig
     quad, v = _schmidt_rank_min(phi.choi, phi.m, phi.n, k, cfg)
     if quad >= -cfg.tol:
         return None
-    return _failing_projection_pair(phi, _range_projection(v, k),
-                                    _range_projection(v.conj().T, k), cfg.tol)
+    return _failing_projection_pair(phi, *_projection_pair(v, k), cfg.tol)
 
 
-def _range_projection(v, k: int) -> np.ndarray:
-    """Rank-k projection containing the range of v (padded if rank(v) < k)."""
-    u, s, _ = np.linalg.svd(v)
-    cols = u[:, :k]
-    return cols @ cols.conj().T
+def _projection_pair(v, k: int):
+    """Rank-k projections ``(E, F)`` onto the top-k left and right singular
+    spaces of v: its range and row space when rank(v) <= k (padded if less)."""
+    u, _, vh = np.linalg.svd(v)
+    return u[:, :k] @ u[:, :k].conj().T, vh[:k].conj().T @ vh[:k]
 
 
 def _family_projection_witness(phi: SuperOperator, w, k: int, cfg: MemberConfig):
@@ -530,11 +488,8 @@ def _family_projection_witness(phi: SuperOperator, w, k: int, cfg: MemberConfig)
     Schmidt-rank-k direction with the most negative quadratic form; its range
     and row projections realize the failing Ad_E . Phi . Ad_F composition.
     """
-    m, n = phi.dims
-    u, s, vh = np.linalg.svd(unvec(w, m, n))
-    e = u[:, :k] @ u[:, :k].conj().T
-    f = vh[:k].conj().T @ vh[:k]
-    return _failing_projection_pair(phi, e, f, cfg.tol)
+    return _failing_projection_pair(phi, *_projection_pair(unvec(w, phi.m, phi.n), k),
+                                    cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +530,7 @@ def _kraus_from_eigen(phi: SuperOperator, k: int, cfg: MemberConfig):
                 return None
             ops.append(op)
         if not ops:
-            ops = []  # zero map: empty decomposition, represented by a zero op
+            # zero map: empty decomposition, represented by a zero op
             ops.append(np.zeros((phi.n, phi.m), dtype=np.complex128))
         return ops
 
@@ -854,6 +809,27 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
 # Independent re-verification of verdicts
 # ---------------------------------------------------------------------------
 
+def _rebuild(cert: dict, m: int, n: int) -> SuperOperator:
+    """The m -> n map a generator certificate of :func:`_sample_with_certs` describes."""
+    kind = cert["type"]
+    if kind == "kraus":
+        return from_kraus(cert["ops"])
+    if kind == "twirled_kraus":
+        return from_kraus(cert["ops"]).right_transpose()
+    if kind == "family":
+        w = cert["w"]
+        return SuperOperator(m, n, cert["a"] * np.eye(m * n) - cert["b"] * np.outer(w, w.conj()))
+    if kind == "twirled":
+        return _rebuild(cert["inner"], m, n).right_transpose()
+    if kind == "hull":
+        choi = sum(w * _rebuild(part, m, n).choi
+                   for w, part in zip(cert["weights"], cert["parts"]))
+        return SuperOperator(m, n, choi)
+    if kind == "meet":
+        return _rebuild(cert["part"], m, n)
+    raise ValueError(f"certificate type {kind!r} does not describe a generator")
+
+
 def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     kind = cert["type"]
     if kind == "psd_floor":
@@ -888,7 +864,12 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     if kind == "child_certificate":
         return _recheck_certificate(phi, cert["inner"], tol)
     if kind == "hull":
-        return True  # hull provenance is by construction; parts carry their own certs
+        m, n = phi.dims
+        if min(cert["weights"]) < 0 or not phi.isclose(
+                _rebuild(cert, m, n), 1e-8 * max(1.0, float(np.max(np.abs(phi.choi))))):
+            return False
+        return all(_recheck_certificate(_rebuild(part, m, n), part, tol)
+                   for part in cert["parts"])
     if kind == "meet":
         if not _recheck_certificate(phi, cert["part"], tol):
             return False

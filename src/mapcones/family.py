@@ -4,7 +4,9 @@ For V: K -> H the map rho -> Tr(rho) I - lambda V rho V^dagger has Choi
 matrix I - lambda |v><v| with v = vec(V).  It is completely positive iff
 lambda * Tr(V V^dagger) <= 1 and k-positive iff lambda times the sum of the
 k largest eigenvalues of V V^dagger is at most 1 (the maximum of
-Tr(E V V^dagger) over rank-k projections E).
+Tr(E V V^dagger) over rank-k projections E).  The brute-force check tests
+that threshold numerically with the shared Schmidt-rank-k minimizer and
+confirms each refutation on a composition Ad_E . Phi_lambda.
 """
 
 from __future__ import annotations
@@ -67,58 +69,24 @@ def k_positivity_threshold(v, k: int) -> float:
     return 1.0 / top
 
 
-def _best_projection_ascent(gram, k: int, start, rng, iters: int = 200):
-    """Hill-climb Tr(E S E) over rank-k projections by random local rotations."""
-    dim = gram.shape[0]
-    q = start  # dim x k isometry
-    best = float(np.real(np.trace(q.conj().T @ gram @ q)))
-    step = 0.5
-    for _ in range(iters):
-        g = linalg.random_complex((dim, k), rng)
-        cand, _ = np.linalg.qr(q + step * g)
-        val = float(np.real(np.trace(cand.conj().T @ gram @ cand)))
-        if val > best:
-            best, q = val, cand
-        else:
-            step = max(step * 0.93, 1e-4)
-    return best, q
+def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, seed, tol: float = 1e-9):
+    """Numerical check of k-positivity by a Schmidt-rank-k search.
 
-
-def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, trials: int, seed,
-                             tol: float = 1e-9, refine: bool = True):
-    """Sampled check of k-positivity via rank-k projection compositions.
-
-    Ad_E . Phi_lambda restricted to the range of E is again of family form
-    with EV in place of V, so the CP criterion applies blockwise; we test
-    positivity of the composed Choi matrix directly.  Returns
-    ``(is_k_positive, witness_projection_or_None)``.
+    Phi_lambda is k-positive iff its Choi quadratic form is nonnegative on
+    vectors of Schmidt rank <= k; :func:`linalg.schmidt_rank_min` minimizes
+    it there.  A minimum below ``-tol`` at V = X Y gives the rank-k
+    projection E = X X^dagger onto a space containing the range of V, and
+    the witness stands only if Ad_E . Phi_lambda fails the CP eigenvalue
+    test.  Returns ``(is_k_positive, witness_projection_or_None)``.
     """
     m, n = spec.dims
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must satisfy 1 <= k <= {min(m, n)}, got {k}")
-    rng = np.random.default_rng(seed)
     phi = build(spec)
-    gram = spec.v @ spec.v.conj().T
-
-    def violates(e) -> bool:
-        comp = ad_map(e).compose(phi)
-        vals = np.linalg.eigvalsh((comp.choi + comp.choi.conj().T) / 2)
-        return bool(vals[0] < -tol)
-
-    best_q = None
-    best_val = -np.inf
-    for _ in range(trials):
-        g = linalg.random_complex((n, k), rng)
-        q, _ = np.linalg.qr(g)
-        e = q @ q.conj().T
-        if violates(e):
-            return False, e
-        val = float(np.real(np.trace(q.conj().T @ gram @ q)))
-        if val > best_val:
-            best_val, best_q = val, q
-    if refine and best_q is not None:
-        _, q = _best_projection_ascent(gram, k, best_q, rng)
-        e = q @ q.conj().T
-        if violates(e):
+    quad, x, _ = linalg.schmidt_rank_min(phi.choi, m, n, k, restarts=linalg.SCHMIDT_RESTARTS,
+                                         max_iters=60, seed=seed)
+    if quad < -tol:
+        e = x @ x.conj().T
+        if linalg.hermitian_part_eigvals(ad_map(e).compose(phi).choi)[0] < -tol:
             return False, e
     return True, None

@@ -62,8 +62,64 @@ def hermitian_part_eigen(m):
     ``(eigenvalues, eigenvectors)``, eigenvalues ascending and eigenvectors
     as orthonormal columns; no self-adjointness check is made.
     """
+    return np.linalg.eigh(_hermitian_part(m))
+
+
+def hermitian_part_eigvals(m):
+    """Ascending eigenvalues of the Hermitian part, without the eigenvectors
+    :func:`hermitian_part_eigen` computes (cheaper where only values are read)."""
+    return np.linalg.eigvalsh(_hermitian_part(m))
+
+
+def _hermitian_part(m):
     m = np.asarray(m, dtype=np.complex128)
-    return np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
+
+
+# A restart has converged once a sweep lowers its value by no more than this,
+# relative to max(1, |value|).
+_SWEEP_DROP = 1e-12
+# Restarts of the Schmidt-rank-k searches built on schmidt_rank_min.
+SCHMIDT_RESTARTS = 8
+
+
+def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed):
+    """Minimize vec(V)^H C vec(V) over unit-norm V = X Y of Schmidt rank <= k.
+
+    X is n x k and Y is k x m, so vec(X Y) spans exactly the vectors of
+    Schmidt rank <= k in C^m x C^n.  All restarts run as one stacked batch of
+    alternating half-steps.  Each half-step orthonormalizes the factor held
+    fixed (QR of Y^H, or of X), so ||X Y|| is the norm of the free factor and
+    the exact minimum over it is the lowest eigenpair of a Hermitian
+    (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
+    no restart's value increases.  Sweeps stop after ``max_iters`` or once
+    no restart's value dropped by more than ``_SWEEP_DROP * max(1, |value|)``.
+
+    Returns ``(value, x, y)`` of the best restart; x has orthonormal columns
+    and ||y|| = 1, so ||x @ y|| = 1.
+    """
+    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    rng = np.random.default_rng(seed)
+    x = random_complex((restarts, n, k), rng)
+    y = random_complex((restarts, k, m), rng)
+    vals = np.full(restarts, np.inf)
+    for _ in range(max_iters):
+        prev = vals
+        # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows
+        q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
+        mat = np.einsum("zar,aibj,zbs->zrisj", q, c4, q.conj())
+        _, vecs = hermitian_part_eigen(mat.reshape(restarts, k * n, k * n))
+        x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
+        # X = Q R: X Y = Q (R Y), and Q has orthonormal columns
+        q, _ = np.linalg.qr(x)
+        mat = np.einsum("zir,aibj,zjs->zrasb", q.conj(), c4, q)
+        vals, vecs = hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
+        vals = vals[:, 0]
+        x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
+        if np.all(prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))):
+            break
+    best = int(np.argmin(vals))
+    return float(vals[best]), x[best], y[best]
 
 
 def singular_values(m) -> np.ndarray:

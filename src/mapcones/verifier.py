@@ -42,7 +42,7 @@ def _report(check_id, m, n, trials, violation, seed, tol, notes="") -> CheckRepo
 
 
 def _min_choi_eig(phi: SuperOperator) -> float:
-    return float(np.linalg.eigvalsh((phi.choi + phi.choi.conj().T) / 2)[0])
+    return float(linalg.hermitian_part_eigvals(phi.choi)[0])
 
 
 def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckReport:
@@ -198,14 +198,14 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
         e = uu[:, :k] @ uu[:, :k].conj().T
         f = vv[:k].conj().T @ vv[:k]
         worst = max(worst, float(np.max(np.abs(e @ u_op @ f - u_op))))
-    # family threshold flip under sampled projection pairs
+    # family threshold flip under the Schmidt-rank-k search
     v = linalg.random_complex((n, m), rng)
     thr = family.k_positivity_threshold(v, k)
     margin = 0.01
     below = family.PhiLambdaSpec(v, thr * (1 - margin))
     above = family.PhiLambdaSpec(v, thr * (1 + margin))
-    ok_below, _ = family.brute_force_k_positivity(below, k, trials, seed + 1, tol)
-    ok_above, _ = family.brute_force_k_positivity(above, k, trials, seed + 2, tol)
+    ok_below, _ = family.brute_force_k_positivity(below, k, seed + 1, tol)
+    ok_above, _ = family.brute_force_k_positivity(above, k, seed + 2, tol)
     if not ok_below:
         worst = max(worst, 1.0)
     if ok_above:

@@ -216,7 +216,7 @@ def test_sampled_generators_verifiably_members(text):
 
 
 @pytest.mark.parametrize("text", ["SP", "SPk(2)", "CP", "t(CP)", "join(CP,t(CP))",
-                                  "meet(CP,t(CP))", "Pk(2)"])
+                                  "join(SPk(2),t(SPk(2)))", "meet(CP,t(CP))", "Pk(2)"])
 def test_sampled_generators_carry_sound_certificates(text):
     m = n = 3
     expr = normalize(parse_cone(text), m, n)
@@ -266,6 +266,29 @@ def test_recheck_rejects_tampered_verdict():
     assert verdict.status == MEMBER
     other = transpose_map(2)
     assert not recheck(other, verdict)
+
+
+def _kraus_cert(op, rank_bound):
+    return {"type": "kraus", "ops": [op], "rank_bound": rank_bound}
+
+
+def test_recheck_rejects_hull_of_other_maps():
+    # the transposition is not CP, so no hull of identity maps reproduces it
+    eye = np.eye(2, dtype=complex)
+    cert = {"type": "hull", "weights": (0.5, 0.5),
+            "parts": [_kraus_cert(eye, 2), _kraus_cert(eye, 2)]}
+    assert not recheck(transpose_map(2), cones.Verdict(MEMBER, certificate=cert))
+    assert recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
+
+
+def test_recheck_rejects_hull_with_an_unsound_part():
+    # the combination matches, but a rank-2 Kraus operator breaks rank_bound 1
+    eye = np.eye(2, dtype=complex)
+    cert = {"type": "hull", "weights": (0.5, 0.5),
+            "parts": [_kraus_cert(eye, 2), _kraus_cert(eye, 1)]}
+    assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
+    negative = dict(cert, weights=(1.5, -0.5), parts=[_kraus_cert(eye, 2)] * 2)
+    assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=negative))
 
 
 def _ckl_choi(a, b, c):

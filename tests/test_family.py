@@ -75,10 +75,8 @@ def test_cp_threshold_is_exact_boundary():
 def test_brute_force_flips_at_threshold(k):
     v = np.eye(3, dtype=complex)
     thr = k_positivity_threshold(v, k)
-    ok_below, wit_below = brute_force_k_positivity(
-        PhiLambdaSpec(v, 0.98 * thr), k, trials=400, seed=2)
-    ok_above, wit_above = brute_force_k_positivity(
-        PhiLambdaSpec(v, 1.02 * thr), k, trials=400, seed=2)
+    ok_below, wit_below = brute_force_k_positivity(PhiLambdaSpec(v, 0.98 * thr), k, seed=2)
+    ok_above, wit_above = brute_force_k_positivity(PhiLambdaSpec(v, 1.02 * thr), k, seed=2)
     assert ok_below and wit_below is None
     assert not ok_above and wit_above is not None
     # the witness is a genuine rank-k projection that breaks positivity
@@ -89,21 +87,21 @@ def test_brute_force_flips_at_threshold(k):
     assert np.linalg.eigvalsh((comp.choi + comp.choi.conj().T) / 2)[0] < -1e-10
 
 
-def test_brute_force_random_v():
-    v = linalg.random_complex((3, 3), np.random.default_rng(66))
-    thr = k_positivity_threshold(v, 2)
-    ok_below, _ = brute_force_k_positivity(
-        PhiLambdaSpec(v, 0.98 * thr), 2, trials=400, seed=5)
-    ok_above, _ = brute_force_k_positivity(
-        PhiLambdaSpec(v, 1.02 * thr), 2, trials=400, seed=5)
+@pytest.mark.parametrize("m,n,k", [(m, n, k) for m, n in [(3, 3), (2, 3), (3, 2), (3, 4)]
+                                   for k in range(1, min(m, n) + 1)])
+def test_brute_force_random_v(m, n, k):
+    v = linalg.random_complex((n, m), np.random.default_rng(66))
+    thr = k_positivity_threshold(v, k)
+    ok_below, _ = brute_force_k_positivity(PhiLambdaSpec(v, 0.98 * thr), k, seed=5)
+    ok_above, _ = brute_force_k_positivity(PhiLambdaSpec(v, 1.02 * thr), k, seed=5)
     assert ok_below and not ok_above
 
 
 def test_brute_force_deterministic():
     v = np.eye(3, dtype=complex)
     spec = PhiLambdaSpec(v, 0.55)
-    a = brute_force_k_positivity(spec, 2, trials=150, seed=9)
-    b = brute_force_k_positivity(spec, 2, trials=150, seed=9)
+    a = brute_force_k_positivity(spec, 2, seed=9)
+    b = brute_force_k_positivity(spec, 2, seed=9)
     assert a[0] == b[0]
     if a[1] is None:
         assert b[1] is None

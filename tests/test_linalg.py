@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,3 +99,14 @@ def test_matrix_json_rejects_bad_input():
 
 def test_dimension_error_is_value_error():
     assert issubclass(linalg.DimensionError, ValueError)
+
+
+def test_only_linalg_calls_the_eigensolvers():
+    # every Hermitian eigenproblem goes through linalg.hermitian_part_eigen{,vals}
+    solver = re.compile(r"\bnp\.linalg\.eigh\b|\beigvalsh\b")
+    package = Path(linalg.__file__).parent
+    offenders = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if solver.search(line)]
+    assert not offenders, offenders

@@ -1,9 +1,9 @@
-"""Reference tests for the batched Schmidt-rank-k minimizer ``cones._rank_k_min``."""
+"""Reference tests for the batched Schmidt-rank-k minimizer ``linalg.schmidt_rank_min``."""
 
 import numpy as np
 import pytest
 
-from mapcones import cones, linalg
+from mapcones import linalg
 from mapcones.superop import unvec, vec
 
 DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
@@ -17,7 +17,7 @@ def _loop_min(choi, m, n, k, restarts, max_iters, seed):
     """Unbatched reference: one restart at a time, a fixed number of sweeps,
     and each half-step a generalized eigenproblem on the unorthonormalized
     Kronecker basis, solved by Cholesky whitening.  Starts from the same
-    random factors as ``_rank_k_min``."""
+    random factors as ``schmidt_rank_min``."""
     c = (choi + choi.conj().T) / 2
     rng = np.random.default_rng(seed)
     xs = linalg.random_complex((restarts, n, k), rng)
@@ -42,7 +42,7 @@ def _loop_min(choi, m, n, k, restarts, max_iters, seed):
 @pytest.mark.parametrize("m,n", DIMS)
 def test_full_schmidt_rank_gives_lowest_eigenvalue(m, n):
     choi = linalg.random_hermitian(m * n, np.random.default_rng([m, n]))
-    val, x, y = cones._rank_k_min(choi, m, n, min(m, n), 4, 60, seed=0)
+    val, x, y = linalg.schmidt_rank_min(choi, m, n, min(m, n), 4, 60, seed=0)
     assert val == pytest.approx(np.linalg.eigvalsh(choi)[0], abs=1e-9)
     assert _quad(choi, x @ y) == pytest.approx(val, abs=1e-9)
 
@@ -56,7 +56,7 @@ def test_family_maps_reach_the_top_k_singular_values(m, n):
     choi = a * np.eye(m * n) - b * np.outer(w, w.conj())
     sv = np.linalg.svd(unvec(w, m, n), compute_uv=False)
     for k in range(1, min(m, n) + 1):
-        val, x, y = cones._rank_k_min(choi, m, n, k, 8, 60, seed=k)
+        val, x, y = linalg.schmidt_rank_min(choi, m, n, k, 8, 60, seed=k)
         assert val == pytest.approx(a - b * np.sum(sv[:k] ** 2), abs=1e-9)
         np.testing.assert_allclose(x.conj().T @ x, np.eye(k), atol=1e-12)
         assert np.linalg.norm(x @ y) == pytest.approx(1.0, abs=1e-12)
@@ -71,14 +71,14 @@ def test_batched_minimizer_matches_the_unbatched_loop(m, n):
                   + 0.05 * linalg.random_hermitian(m * n, rng))
     for i, choi in enumerate(corpus):
         for k in range(1, min(m, n)):
-            val, _, _ = cones._rank_k_min(choi, m, n, k, 4, 60, seed=i)
+            val, _, _ = linalg.schmidt_rank_min(choi, m, n, k, 4, 60, seed=i)
             assert val <= _loop_min(choi, m, n, k, 4, 60, seed=i) + 1e-8
 
 
 def test_same_seed_gives_identical_arrays():
     choi = linalg.random_hermitian(12, np.random.default_rng(5))
-    first = cones._rank_k_min(choi, 3, 4, 2, 8, 60, seed=3)
-    second = cones._rank_k_min(choi, 3, 4, 2, 8, 60, seed=3)
+    first = linalg.schmidt_rank_min(choi, 3, 4, 2, 8, 60, seed=3)
+    second = linalg.schmidt_rank_min(choi, 3, 4, 2, 8, 60, seed=3)
     assert first[0] == second[0]
     assert first[1].tobytes() == second[1].tobytes()
     assert first[2].tobytes() == second[2].tobytes()

@@ -136,9 +136,10 @@ def test_map_inner_isometry_random(seed):
     rng = np.random.default_rng(seed)
     phi = superop.random_map(2, 3, rng)
     psi = superop.random_map(2, 3, rng)
-    # map_inner internally cross-checks the basis-sum and Choi routes
-    val = map_inner(phi, psi)
-    assert abs(val - linalg.hs_inner(phi.choi, psi.choi)) < 1e-9
+    # the Choi route of map_inner against the defining basis sum
+    by_sum = sum(linalg.hs_inner(phi.apply(f), psi.apply(f))
+                 for f in (linalg.matrix_unit(2, k, l) for k in range(2) for l in range(2)))
+    assert abs(map_inner(phi, psi) - by_sum) < 1e-9
 
 
 def test_map_inner_conjugate_symmetry():
