@@ -23,7 +23,7 @@ decompositions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .linalg import DimensionError
 from . import superop
-from .superop import SuperOperator, ad_map, from_kraus, map_inner, unvec, vec
+from .superop import SuperOperator, ad_map, from_kraus, map_inner, unvec
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,8 @@ class MemberConfig:
     max_iters: int = 60
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"tol": self.tol, "samples": self.samples, "seed": self.seed,
+                "max_iters": self.max_iters}
 
 
 MEMBER = "member"
@@ -334,91 +335,159 @@ def _family_kfan(w, m: int, n: int, k: int) -> float:
 # Generator sampling
 # ---------------------------------------------------------------------------
 
-def _sample_with_certs(expr: ConeExpr, m: int, n: int, count: int, rng, diagnostics=None):
-    """Sample maps provably inside the cone, each with a provenance certificate."""
-    rng = np.random.default_rng(rng)
+def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
+    """Sample ``count`` maps provably inside the cone as one Choi stack.
+
+    Returns ``(chois, certs)``: a ``(count, m*n, m*n)`` array and one
+    provenance certificate per map, which :func:`recheck` verifies.  Base
+    cones draw all their random operators at once, a twirl transposes the
+    whole stack and a join mixes two stacks with Dirichlet weights.  A meet
+    samples each side and keeps the maps :func:`_admit` certifies in the
+    other side (or all of them when the other side includes it), then tops
+    up with rank-one conjugations, which lie in every mcs-cone.
+    """
     kmax = min(m, n)
-    out = []
     if isinstance(expr, Base) and expr.kind == "SPk":
-        for _ in range(count):
-            v = linalg.random_complex((n, expr.k), rng) @ linalg.random_complex((expr.k, m), rng)
-            out.append((ad_map(v), {"type": "kraus", "ops": [v], "rank_bound": expr.k}))
-        return out
+        # V = X Y with X n x k and Y k x m has rank <= k
+        g = linalg.random_complex((count, n + m, expr.k), rng)
+        ops = g[:, :n] @ np.swapaxes(g[:, n:], 1, 2)
+        return (superop.kraus_stack(ops[:, None]),
+                [{"type": "kraus", "ops": [v], "rank_bound": expr.k} for v in ops])
     if isinstance(expr, Base) and expr.kind == "CP":
-        for _ in range(count):
-            ops = [linalg.random_complex((n, m), rng) for _ in range(int(rng.integers(1, 4)))]
-            out.append((from_kraus(ops), {"type": "kraus", "ops": ops, "rank_bound": kmax}))
-        return out
+        ranks = rng.integers(1, 4, size=count)
+        ops = linalg.random_complex((count, 3, n, m), rng)
+        ops[np.arange(3) >= ranks[:, None]] = 0
+        return (superop.kraus_stack(ops),
+                [{"type": "kraus", "ops": list(v[:r]), "rank_bound": kmax}
+                 for v, r in zip(ops, ranks)])
     if isinstance(expr, Base) and expr.kind == "Pk":
+        # cycle through boundary members of the Tr - lambda Ad_W family
+        # (k-positive by the analytic threshold), two-operator Kraus maps and,
+        # at k = 1 only, completely co-positive maps
         k = expr.k
-        i = 0
-        while len(out) < count:
-            mode = i % 3 if k == 1 else i % 2
-            i += 1
-            if mode == 0:
-                # boundary member of the Tr - lambda Ad_V family, k-positive by
-                # the analytic threshold
-                w = linalg.random_complex((n, m), rng)
-                w = w / np.linalg.norm(vec(w))
-                lam = (1.0 - 1e-12) / _family_kfan(vec(w), m, n, k)
-                d = m * n
-                choi = np.eye(d) - lam * np.outer(vec(w), vec(w).conj())
-                gen = SuperOperator(m, n, choi)
-                out.append((gen, {"type": "family", "a": 1.0, "b": lam, "w": vec(w), "k": k}))
-            elif mode == 1:
-                ops = [linalg.random_complex((n, m), rng) for _ in range(2)]
-                out.append((from_kraus(ops), {"type": "kraus", "ops": ops, "rank_bound": kmax}))
-            else:
-                # completely co-positive maps are positive (k = 1 only)
-                ops = [linalg.random_complex((n, m), rng) for _ in range(2)]
-                gen = from_kraus(ops).right_transpose()
-                out.append((gen, {"type": "twirled_kraus", "ops": ops}))
-        return out
+        mode = np.arange(count) % (3 if k == 1 else 2)
+        ops = linalg.random_complex((count, 2, n, m), rng)
+        chois = superop.kraus_stack(ops)
+        w = superop.vec_stack(ops[:, 0])
+        w = w / np.linalg.norm(w, axis=1, keepdims=True)
+        # k-fan of unvec(w), as _family_kfan computes it
+        sv = np.linalg.svd(np.swapaxes(w.reshape(count, m, n), 1, 2), compute_uv=False)
+        lam = (1.0 - 1e-12) / np.sum(sv[:, :k] ** 2, axis=1)
+        fam = mode == 0
+        chois[fam] = np.eye(m * n) - lam[fam, None, None] * (
+            w[fam, :, None] * w[fam, None, :].conj())
+        co = mode == 2
+        chois[co] = superop.twirl_stack(chois[co], m, n)
+
+        def cert(i):
+            if mode[i] == 0:
+                return {"type": "family", "a": 1.0, "b": float(lam[i]), "w": w[i], "k": k}
+            if mode[i] == 1:
+                return {"type": "kraus", "ops": list(ops[i]), "rank_bound": kmax}
+            return {"type": "twirled_kraus", "ops": list(ops[i])}
+
+        return chois, [cert(i) for i in range(count)]
     if isinstance(expr, Twirl):
-        inner = _sample_with_certs(expr.child, m, n, count, rng, diagnostics)
-        return [
-            (g.right_transpose(), {"type": "twirled", "inner": cert}) for g, cert in inner
-        ]
+        chois, certs = _sample_stack(expr.child, m, n, count, rng)
+        return superop.twirl_stack(chois, m, n), [{"type": "twirled", "inner": c} for c in certs]
     if isinstance(expr, Join):
-        left = _sample_with_certs(expr.left, m, n, count, rng, diagnostics)
-        right = _sample_with_certs(expr.right, m, n, count, rng, diagnostics)
-        out = []
-        for (g1, c1), (g2, c2) in zip(left, right):
-            w1, w2 = rng.dirichlet((1.0, 1.0))
-            gen = SuperOperator(m, n, w1 * g1.choi + w2 * g2.choi)
-            out.append((gen, {"type": "hull", "weights": (float(w1), float(w2)),
-                              "parts": [c1, c2]}))
-        return out
+        left, left_certs = _sample_stack(expr.left, m, n, count, rng)
+        right, right_certs = _sample_stack(expr.right, m, n, count, rng)
+        weights = rng.dirichlet((1.0, 1.0), size=count)
+        left *= weights[:, 0, None, None]
+        left += weights[:, 1, None, None] * right
+        return left, [{"type": "hull", "weights": (float(w1), float(w2)), "parts": [c1, c2]}
+                      for (w1, w2), c1, c2 in zip(weights, left_certs, right_certs)]
     if isinstance(expr, Meet):
         cfg = MemberConfig(samples=50, seed=int(rng.integers(2**31)))
-        fallback = 0
+        kept, certs = [], []
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            for g, cert in _sample_with_certs(side, m, n, count, rng, diagnostics):
-                if len(out) >= count:
-                    break
-                if includes(other, side):
-                    out.append((g, {"type": "meet", "part": cert, "via": "inclusion"}))
-                else:
-                    verdict = member(g, other, cfg)
-                    if verdict.status == MEMBER:
-                        out.append((g, {"type": "meet", "part": cert,
-                                        "via": "verified", "other_cert": verdict.certificate}))
-        while len(out) < count:
+            if len(certs) < count:
+                chois, side_certs = _admit(side, other, m, n, count - len(certs), rng, cfg)
+                kept.append(chois)
+                certs += side_certs
+        if len(certs) < count:
             # rank-one conjugations lie in every mcs-cone
-            v = linalg.random_complex((n, 1), rng) @ linalg.random_complex((1, m), rng)
-            out.append((ad_map(v), {"type": "kraus", "ops": [v], "rank_bound": 1}))
-            fallback += 1
-        if diagnostics is not None and fallback:
-            diagnostics["meet_fallback_samples"] = fallback
-        return out
+            chois, rank_one = _sample_stack(Base("SPk", 1), m, n, count - len(certs), rng)
+            kept.append(chois)
+            certs += rank_one
+        return np.concatenate(kept), certs
     raise TypeError(f"cannot sample from unnormalized expression: {expr!r}")
 
 
+def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
+           cfg: MemberConfig):
+    """``count`` samples of ``side`` cut down to those that lie in ``other``
+    too: a Choi stack with their ``meet`` certificates.
+
+    Samples need no check when ``other`` includes ``side``.  CP and t(CP)
+    certify the whole stack with one Hermiticity check and one batched
+    spectrum, the stacked form of :func:`member`'s CP verdict; any other cone
+    calls :func:`member` per sample.
+    """
+    chois, certs = _sample_stack(side, m, n, count, rng)
+    if includes(other, side):
+        return chois, [{"type": "meet", "part": c, "via": "inclusion"} for c in certs]
+    twirled = isinstance(other, Twirl)
+    if (other.child if twirled else other) != Base("CP"):
+        others = []
+        for c in chois:
+            verdict = member(SuperOperator(m, n, c), other, cfg)
+            others.append(verdict.certificate if verdict.status == MEMBER else None)
+        kept = chois[[o is not None for o in others]]
+    else:
+        if linalg.hermiticity_defect(chois) > cfg.tol:
+            raise ValueError("membership is defined for Hermiticity-preserving maps only")
+        if twirled:
+            # phi is in t(CP) iff phi . t is CP.  The twirl only permutes
+            # entries, so twirling the kept maps back restores them exactly,
+            # and the untwirled stack need not stay alive meanwhile.
+            chois = superop.twirl_stack(chois, m, n)
+        floors = linalg.hermitian_part_eigvals(chois)[:, 0]
+        others = []
+        for val in floors:
+            cert = {"type": "psd_floor", "min_eigenvalue": float(val)}
+            others.append(None if val < -cfg.tol else
+                          {"type": "twirled", "inner": cert} if twirled else cert)
+        kept = chois[floors >= -cfg.tol]
+        if twirled:
+            kept = superop.twirl_stack(kept, m, n)
+    return kept, [{"type": "meet", "part": c, "via": "verified", "other_cert": o}
+                  for c, o in zip(certs, others) if o is not None]
+
+
+def _sample_with_certs(expr: ConeExpr, m: int, n: int, count: int, rng):
+    """:func:`_sample_stack` as a list of ``(map, certificate)`` pairs."""
+    chois, certs = _sample_stack(expr, m, n, count, np.random.default_rng(rng))
+    return [(SuperOperator(m, n, c), cert) for c, cert in zip(chois, certs)]
+
+
 def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[SuperOperator]:
-    """Sample ``count`` maps that verifiably lie in the (normalized) cone."""
+    """Sample ``count`` maps that verifiably lie in the (normalized) cone.
+
+    All maps come from one :func:`_sample_stack` call, so a seed fixes the
+    whole list; each map is a read-only view into the shared Choi stack.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [g for g, _ in _sample_with_certs(expr, m, n, count, np.random.default_rng(seed))]
+    return [g for g, _ in _sample_with_certs(expr, m, n, count, seed)]
+
+
+def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
+    """:func:`pair` of every map of a Choi stack with phi, in one contraction.
+
+    Makes every check :func:`pair` makes: both arguments Hermiticity-preserving
+    within tol, and no pairing with an imaginary part above tol * max(1, |value|).
+    """
+    if linalg.hermiticity_defect(chois) > tol:
+        raise ValueError(f"first argument is not Hermiticity-preserving within {tol}")
+    if not phi.is_hermiticity_preserving(tol):
+        raise ValueError(f"second argument is not Hermiticity-preserving within {tol}")
+    vals = np.einsum("zij,ij->z", chois, phi.choi.conj())
+    residue = np.abs(vals.imag) > tol * np.maximum(1.0, np.abs(vals))
+    if residue.any():
+        raise ArithmeticError(f"pairing has imaginary residue {vals.imag[residue][0]}")
+    return vals.real
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +627,19 @@ def _kraus_from_eigen(phi: SuperOperator, k: int, cfg: MemberConfig):
 
 
 def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig()) -> Verdict:
-    """Decide membership of a Hermiticity-preserving map in a normalized cone."""
+    """Decide membership of a Hermiticity-preserving map in a normalized cone.
+
+    The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
+    routes, the ``route`` that decided.  Two ``unknown`` verdicts also report
+    the closest approach their sampled dual search found:
+
+    * ``join``: ``closest_pairing``, the least pairing of phi with the
+      ``dual_samples`` sampled generators of the dual cone (a witness needs
+      one below -tol);
+    * ``SPk``: ``closest_composition_eigenvalue``, the least Choi eigenvalue
+      of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
+      Pk (a witness needs one below -tol).
+    """
     if cfg.samples < 1:
         raise ValueError("cfg.samples must be >= 1")
     if not phi.is_hermiticity_preserving(cfg.tol):
@@ -643,23 +724,26 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                            certificate={"type": "kraus", "ops": ops, "rank_bound": k},
                            diagnostics={"route": "eigendecomposition",
                                         "cfg": cfg.as_dict()})
-        rng = np.random.default_rng(cfg.seed + 3)
-        dual_gens = _sample_with_certs(Base("Pk", k), m, n, min(cfg.samples, 100), rng)
-        for psi, cert in dual_gens:
-            comp = psi.adjoint().compose(phi)
-            cval = float(linalg.hermitian_part_eigen(comp.choi)[0][0])
-            if cval < -cfg.tol:
-                return Verdict(NOT_MEMBER,
-                               witness={"type": "dual_element", "psi": psi,
-                                        "psi_certificate": cert,
-                                        "composition_eigenvalue": cval,
-                                        "pairing": None},
-                               diagnostics={"route": "dual_sampling",
-                                            "cfg": cfg.as_dict()})
+        # phi is in SPk iff psi^dagger . phi is CP for every psi in Pk
+        chois, certs = _sample_stack(Base("Pk", k), m, n, min(cfg.samples, 100),
+                                     np.random.default_rng(cfg.seed + 3))
+        floors = linalg.hermitian_part_eigvals(superop.adjoint_compositions(chois, phi))[:, 0]
+        hits = np.flatnonzero(floors < -cfg.tol)
+        if hits.size:
+            first = hits[0]
+            return Verdict(NOT_MEMBER,
+                           witness={"type": "dual_element",
+                                    "psi": SuperOperator(m, n, chois[first]),
+                                    "psi_certificate": certs[first],
+                                    "composition_eigenvalue": float(floors[first]),
+                                    "pairing": None},
+                           diagnostics={"route": "dual_sampling",
+                                        "cfg": cfg.as_dict()})
         return Verdict(UNKNOWN,
                        diagnostics={"note": "no rank-bounded Kraus decomposition found "
                                             "and no sampled dual refutation",
-                                    "dual_samples": len(dual_gens),
+                                    "dual_samples": len(certs),
+                                    "closest_composition_eigenvalue": float(floors.min()),
                                     "cfg": cfg.as_dict()})
 
     if isinstance(expr, Twirl):
@@ -704,7 +788,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                            certificate={"type": "child_certificate", "side": "right",
                                         "child": expr.right, "inner": right.certificate},
                            diagnostics={"route": "join", "cfg": cfg.as_dict()})
-        found = witness_search(phi, expr, cfg)
+        found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
         if found is not None:
             psi, value, cert = found
             return Verdict(NOT_MEMBER,
@@ -716,6 +800,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                        diagnostics={"route": "join",
                                     "note": "neither child certified and no dual witness",
                                     "left": left.status, "right": right.status,
+                                    "closest_pairing": closest,
+                                    "dual_samples": cfg.samples,
                                     "cfg": cfg.as_dict()})
 
     raise TypeError(f"membership needs a normalized cone expression, got {expr!r}")
@@ -729,7 +815,11 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
     """Search the dual cone for Psi with pair(Psi, phi) < -tol.
 
     Returns ``(psi, value, certificate)`` with the certificate proving
-    membership of psi in dual(expr), or None when no witness is found.
+    membership of psi in dual(expr), or None when no witness is found.  A
+    dual of CP or SPk(k) is searched exactly (spectrum) or by the Schmidt-rank
+    minimizer; any other dual is searched over ``cfg.samples`` sampled
+    generators, built as one Choi stack and paired with phi in one
+    contraction, and the first generator of least pairing is returned.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("witness search is defined for Hermiticity-preserving maps")
@@ -749,14 +839,25 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
         if quad < -cfg.tol:
             return ad_map(v), quad, {"type": "kraus", "ops": [v], "rank_bound": k}
         return None
-    # fall back to sampled generators of the dual cone
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    for psi, cert in _sample_with_certs(d, m, n, cfg.samples, rng):
-        val = pair(psi, phi, cfg.tol)
-        if val < -cfg.tol and (best is None or val < best[1]):
-            best = (psi, val, cert)
-    return best
+    return _sampled_witness(phi, d, cfg)[0]
+
+
+def _sampled_witness(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
+    """Pair ``cfg.samples`` sampled generators of the cone d with phi.
+
+    Returns ``(found, closest)``: found is ``(psi, value, certificate)`` for
+    the first generator of least pairing when that pairing is below -tol and
+    None otherwise; closest is the least pairing.
+    """
+    m, n = phi.dims
+    chois, certs = _sample_stack(d, m, n, cfg.samples, np.random.default_rng(cfg.seed))
+    vals = _pair_stack(chois, phi, cfg.tol)
+    best = int(np.argmin(vals))
+    closest = float(vals[best])
+    found = None
+    if closest < -cfg.tol:
+        found = (SuperOperator(m, n, chois[best]), closest, certs[best])
+    return found, closest
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +872,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
     kraus_count = 1 if single_kraus else 2
     violations = []
     statuses = {MEMBER: 0, NOT_MEMBER: 0, UNKNOWN: 0}
-    gens = _sample_with_certs(expr, m, n, cfg.samples, rng)
-    for i, (g, _) in enumerate(gens):
+    for i, g in enumerate(sample_generators(expr, m, n, cfg.samples, rng)):
         ups = superop.random_cp_map(n, n, rng, kraus_count)
         omg = superop.random_cp_map(m, m, rng, kraus_count)
         composite = ups.compose(g).compose(omg)
@@ -785,13 +885,13 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
     dual_min = np.inf
     dual = dual_expr(expr)
     dual_gens = sample_generators(dual, m, n, min(cfg.samples, 50), cfg.seed + 1)
-    cone_gens = sample_generators(expr, m, n, min(cfg.samples, 50), cfg.seed + 2)
-    for i, psi in enumerate(dual_gens):
+    cone_chois, _ = _sample_stack(expr, m, n, min(cfg.samples, 10),
+                                  np.random.default_rng(cfg.seed + 2))
+    for psi in dual_gens:
         ups = superop.random_cp_map(n, n, rng, kraus_count)
         omg = superop.random_cp_map(m, m, rng, kraus_count)
         conj = ups.compose(psi).compose(omg)
-        for g in cone_gens[:10]:
-            dual_min = min(dual_min, pair(conj, g, cfg.tol))
+        dual_min = min(dual_min, float(_pair_stack(cone_chois, conj, cfg.tol).min()))
     return {
         "cone": format_cone(expr),
         "m": m,

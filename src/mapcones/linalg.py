@@ -35,8 +35,15 @@ def hs_inner(a, b) -> complex:
 
 
 def hermiticity_defect(m) -> float:
-    m = as_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Largest entry of |M - M^dagger|, over a whole stack when M has leading
+    batch axes."""
+    m = np.asarray(m, dtype=np.complex128)
+    if not m.size:
+        return 0.0
+    # M^dagger - M rather than M - M^dagger lets numpy subtract in place, and
+    # |.| goes back into the same array: one stack-sized temporary in all
+    d = np.swapaxes(m, -1, -2).conj() - m
+    return float(np.abs(d, out=d).real.max())
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_TOL):
@@ -141,7 +148,13 @@ def matrix_unit(dim: int, k: int, l: int) -> np.ndarray:
 
 def random_complex(shape, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    # the values of (x + 1j y) / sqrt(2), filled in place without its
+    # three complex temporaries
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= math.sqrt(2)
+    return out
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -20,7 +20,12 @@ from .linalg import DimensionError, as_matrix, hs_inner
 
 def vec(v) -> np.ndarray:
     """K-major vectorization of an n x m operator."""
-    return as_matrix(v).T.reshape(-1)
+    return vec_stack(as_matrix(v))
+
+
+def vec_stack(ops) -> np.ndarray:
+    """:func:`vec` of each operator in a stack: shape (..., n, m) -> (..., m*n)."""
+    return np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], -1)
 
 
 def unvec(w, m: int, n: int) -> np.ndarray:
@@ -93,8 +98,7 @@ class SuperOperator:
 
     def right_transpose(self) -> "SuperOperator":
         """Phi . t, transposition applied on the input side."""
-        c4 = self._choi4().transpose(2, 1, 0, 3)
-        return SuperOperator(self.m, self.n, c4.reshape(self.choi.shape))
+        return SuperOperator(self.m, self.n, twirl_stack(self.choi, self.m, self.n))
 
     def tensor_with_identity(self, k: int) -> "SuperOperator":
         """Phi tensor id_k as a map B(K x C^k) -> B(H x C^k)."""
@@ -117,6 +121,34 @@ class SuperOperator:
 
     def isclose(self, other: "SuperOperator", tol: float = linalg.DEFAULT_TOL) -> bool:
         return self.dims == other.dims and np.max(np.abs(self.choi - other.choi)) <= tol
+
+
+# Stacked forms: the same Choi algebra on (count, m*n, m*n) arrays of Choi
+# matrices, one numpy call for the whole stack.
+
+def twirl_stack(chois, m: int, n: int) -> np.ndarray:
+    """Choi matrices of Phi . t for a Choi matrix or a stack of them; the
+    twirl only permutes entries, so twirling twice restores the input exactly."""
+    c5 = chois.reshape(-1, m, n, m, n).transpose(0, 3, 2, 1, 4)
+    return c5.reshape(chois.shape)
+
+
+def kraus_stack(ops) -> np.ndarray:
+    """Choi matrices of sum_r Ad_{V_zr} for a (count, r, n, m) stack of Kraus
+    operators V_zr."""
+    w = vec_stack(ops)
+    return np.einsum("zri,zrj->zij", w, w.conj())
+
+
+def adjoint_compositions(chois, phi: "SuperOperator") -> np.ndarray:
+    """Choi matrices of psi^dagger . phi for a stack of m -> n maps psi, as
+    ``psi.adjoint().compose(phi)`` builds them one at a time."""
+    m, n = phi.dims
+    # conj(sum conj(phi) psi) = sum phi conj(psi) exactly, and needs no
+    # conjugated copy of the stack
+    comp = np.einsum("kilj,zaibj->zkalb", phi._choi4().conj(),
+                     chois.reshape(-1, m, n, m, n))
+    return np.conjugate(comp, out=comp).reshape(-1, m * m, m * m)
 
 
 def from_choi(c, m: int, n: int) -> SuperOperator:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,11 @@ def test_includes_chain():
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
+
+def test_config_dict_keeps_field_order():
+    cfg = MemberConfig(tol=1e-7, samples=3, seed=5, max_iters=9)
+    assert list(cfg.as_dict().items()) == list(dataclasses.asdict(cfg).items())
+
 
 def test_pair_requires_hp():
     phi = superop.random_map(2, 2, RNG)
@@ -216,15 +223,18 @@ def test_sampled_generators_verifiably_members(text):
 
 
 @pytest.mark.parametrize("text", ["SP", "SPk(2)", "CP", "t(CP)", "join(CP,t(CP))",
-                                  "join(SPk(2),t(SPk(2)))", "meet(CP,t(CP))", "Pk(2)"])
+                                  "join(SPk(2),t(SPk(2)))", "meet(CP,t(CP))", "Pk(2)",
+                                  # per-sample member admission; inclusion admission
+                                  "meet(Pk(2),t(CP))", "meet(CP,Pk(2))"])
 def test_sampled_generators_carry_sound_certificates(text):
-    m = n = 3
-    expr = normalize(parse_cone(text), m, n)
-    rng = np.random.default_rng(5)
-    pairs = cones._sample_with_certs(expr, m, n, 12, rng)
-    assert pairs
-    for g, cert in pairs:
-        assert recheck(g, cones.Verdict(MEMBER, certificate=cert))
+    # the non-square shapes exercise the stacked twirl's reshape
+    for m, n in ((3, 3), (2, 3), (3, 2)):
+        expr = normalize(parse_cone(text), m, n)
+        rng = np.random.default_rng(5)
+        pairs = cones._sample_with_certs(expr, m, n, 12, rng)
+        assert len(pairs) == 12
+        for g, cert in pairs:
+            assert recheck(g, cones.Verdict(MEMBER, certificate=cert)), (m, n, cert)
 
 
 def test_generator_sampling_deterministic():
@@ -232,6 +242,86 @@ def test_generator_sampling_deterministic():
     a = sample_generators(expr, 3, 3, 8, seed=3)
     b = sample_generators(expr, 3, 3, 8, seed=3)
     assert all(x == y for x, y in zip(a, b))
+
+
+def test_join_witness_search_makes_two_eigensolver_calls(monkeypatch):
+    # one batched spectrum admits each meet(CP,t(CP)) side; pairing needs none
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
+    phi = superop.random_hp_map(3, 3, np.random.default_rng(4))
+    witness_search(phi, normalize(parse_cone("join(CP,t(CP))"), 3, 3),
+                   MemberConfig(samples=500, seed=0))
+    assert len(calls) == 2
+
+
+def test_stacked_pairing_and_compositions_match_per_sample_loops():
+    rng = np.random.default_rng(17)
+    m, n = 2, 3
+    phi = superop.random_hp_map(m, n, rng)
+    chois, _ = cones._sample_stack(normalize(parse_cone("meet(CP,t(CP))"), m, n),
+                                       m, n, 60, rng)
+    psis = [superop.from_choi(c, m, n) for c in chois]
+    stacked = cones._pair_stack(chois, phi, 1e-9)
+    looped = np.array([pair(psi, phi) for psi in psis])
+    assert np.max(np.abs(stacked - looped)) <= 1e-12
+    assert np.argmin(stacked) == np.argmin(looped)
+
+    comps = superop.adjoint_compositions(chois, phi)
+    for comp, psi in zip(comps, psis):
+        assert np.max(np.abs(comp - psi.adjoint().compose(phi).choi)) <= 1e-12
+
+
+def test_spk_dual_sampling_returns_the_first_hit_of_the_per_sample_loop():
+    # Ad_U + 0.05 Tr for a generic unitary U is CP, but its eigenvectors give
+    # no rank-2 Kraus decomposition, so only the sampled Pk(2) duals can
+    # refute SPk(2); here the first refuting sample is not the first sample
+    u = linalg.random_unitary(3, np.random.default_rng(8))
+    phi = superop.from_choi(ad_map(u).choi + 0.05 * np.eye(9), 3, 3)
+    cfg = MemberConfig(samples=40, seed=2)
+    verdict = member(phi, normalize(parse_cone("SPk(2)"), 3, 3), cfg)
+    assert verdict.diagnostics["route"] == "dual_sampling"
+    gens = cones._sample_with_certs(cones.Base("Pk", 2), 3, 3, 40,
+                                    np.random.default_rng(cfg.seed + 3))
+    floors = [linalg.hermitian_part_eigen(psi.adjoint().compose(phi).choi)[0][0]
+              for psi, _ in gens]
+    first = next(i for i, val in enumerate(floors) if val < -cfg.tol)
+    assert first > 0
+    wit = verdict.witness
+    assert wit["psi"].isclose(gens[first][0], 1e-12)
+    assert abs(wit["composition_eigenvalue"] - floors[first]) <= 1e-12
+    assert recheck(phi, verdict)
+
+
+def test_unknown_verdicts_report_the_closest_approach():
+    # Phi[2,1,0] is positive but not decomposable, and no sampled dual
+    # generator of join(CP,t(CP)) refutes it
+    phi = superop.from_choi(_ckl_choi(2.0, 1.0, 0.0), 3, 3)
+    expr = normalize(parse_cone("join(CP,t(CP))"), 3, 3)
+    verdict = member(phi, expr, CFG)
+    assert verdict.status == UNKNOWN
+    diag = verdict.diagnostics
+    assert diag["dual_samples"] == CFG.samples
+    gens = cones._sample_with_certs(dual_expr(expr), 3, 3, CFG.samples,
+                                    np.random.default_rng(CFG.seed))
+    closest = min(pair(g, phi) for g, _ in gens)
+    assert closest >= -CFG.tol
+    assert abs(diag["closest_pairing"] - closest) <= 1e-12
+    # a sum of three rank-2 conjugations lies in SPk(2), so no dual refutes it
+    rng = np.random.default_rng(3)
+    ops = [linalg.random_complex((3, 2), rng) @ linalg.random_complex((2, 3), rng)
+           for _ in range(3)]
+    phi = superop.from_kraus(ops)
+    verdict = member(phi, normalize(parse_cone("SPk(2)"), 3, 3), CFG)
+    assert verdict.status == UNKNOWN
+    gens = cones._sample_with_certs(cones.Base("Pk", 2), 3, 3, 100,
+                                    np.random.default_rng(CFG.seed + 3))
+    closest = min(linalg.hermitian_part_eigen(g.adjoint().compose(phi).choi)[0][0]
+                  for g, _ in gens)
+    assert closest >= -CFG.tol
+    assert abs(verdict.diagnostics["closest_composition_eigenvalue"] - closest) <= 1e-12
 
 
 def test_witness_search_finds_cp_witness():
