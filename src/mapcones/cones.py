@@ -12,12 +12,13 @@ Membership verdicts are certified: a Member carries a certificate and a
 NotMember carries a witness, each of which :func:`recheck` re-verifies from
 scratch.  Complete positivity is decided exactly via the Choi spectrum;
 k-positivity has a sound refuter plus an exact certifier for maps whose
-Choi matrix has the ``a*I - b|w><w|`` spectral pattern.  The refuter
-minimizes the Choi quadratic form over vectors of Schmidt rank <= k (the
-generators of SPk, the dual of Pk) by batched alternating minimization; at
-k = 1 the minimizer is a vector pair, at k > 1 its range and row projections
-give a projection pair.  k-superpositivity is certified by explicit Kraus
-decompositions.
+Choi matrix has the ``a*I - b|w><w|`` spectral pattern.  Every refutation
+of k-positivity is a generator of the dual cone SPk: a conjugation Ad_V with
+rank V <= k whose pairing with the map is negative.  V is the top-k singular
+truncation of unvec(w) for a family-pattern map, the lowest Choi eigenvector
+at k = min(m, n), and otherwise the minimizer of the Choi quadratic form over
+vectors of Schmidt rank <= k, found by batched alternating minimization.
+k-superpositivity is certified by explicit Kraus decompositions.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ class MemberConfig:
 
     ``tol`` is the decision tolerance, ``samples`` bounds the sampled
     generators, ``seed`` fixes every random start, and ``max_iters`` is the
-    upper bound on alternating-minimization sweeps (the refuters stop
-    earlier once they converge) and on Kraus basis-mixing attempts.
+    upper bound on the sweeps of the Schmidt-rank-k minimization (it stops
+    earlier once it converges).
     """
 
     tol: float = 1e-9
@@ -305,12 +306,12 @@ def pair(psi: SuperOperator, phi: SuperOperator, tol: float = 1e-9) -> float:
 # Family-pattern recognition (Choi = a*I - b |w><w|)
 # ---------------------------------------------------------------------------
 
-def _spectral_family_pattern(phi: SuperOperator, tol: float):
-    """Detect Choi = a*I - b*|w><w| with b > 0; returns (a, b, w) or None."""
+def _spectral_family_pattern(phi: SuperOperator, vals, vecs, tol: float):
+    """Detect Choi = a*I - b*|w><w| with b > 0 from the Choi eigenpairs
+    ``(vals, vecs)``; returns (a, b, w) or None."""
     d = phi.m * phi.n
     if d < 2:
         return None
-    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
     a = float(np.median(vals[1:]))
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.max(np.abs(vals[1:] - a)) > 100 * tol * scale:
@@ -384,7 +385,8 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
                 return {"type": "family", "a": 1.0, "b": float(lam[i]), "w": w[i], "k": k}
             if mode[i] == 1:
                 return {"type": "kraus", "ops": list(ops[i]), "rank_bound": kmax}
-            return {"type": "twirled_kraus", "ops": list(ops[i])}
+            return {"type": "twirled",
+                    "inner": {"type": "kraus", "ops": list(ops[i]), "rank_bound": kmax}}
 
         return chois, [cert(i) for i in range(count)]
     if isinstance(expr, Twirl):
@@ -494,79 +496,44 @@ def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
 # Refutation searches
 # ---------------------------------------------------------------------------
 
-_VECTOR_RESTARTS = 32
+def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
+    """A generator Ad_V of SPk(k), the dual of Pk(k), that refutes phi.
 
-
-def _positivity_refute(phi: SuperOperator, cfg: MemberConfig):
-    """Minimize <omega, Phi(upsilon upsilon*) omega> over unit vectors.
-
-    The k = 1 case of :func:`linalg.schmidt_rank_min`: V = X Y = omega upsilon^H.
-    Returns ``(value, upsilon, omega)``.
+    Returns ``(Ad_V, <Ad_V, phi>, certificate)`` when the pairing is below
+    -tol, else None.  V is the given n x m operator; without one it is the
+    lowest Choi eigenvector at k = min(m, n), and otherwise the minimizer of
+    the Choi quadratic form over unit vectors of Schmidt rank <= k.
     """
-    _, x, y = linalg.schmidt_rank_min(phi.choi, phi.m, phi.n, 1, _VECTOR_RESTARTS,
-                                      cfg.max_iters, cfg.seed)
-    omega, ups = x[:, 0], y[0].conj()
-    val = float(np.real(np.vdot(omega, phi.apply(np.outer(ups, ups.conj())) @ omega)))
-    return val, ups, omega
-
-
-def _schmidt_rank_min(choi, m: int, n: int, k: int, cfg: MemberConfig):
-    """Minimize the Choi quadratic form over unit vectors of Schmidt rank <= k.
-
-    Returns ``(value, V)`` with V the n x m minimizer, ||vec(V)|| = 1.
-    """
-    quad, x, y = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                         cfg.max_iters, cfg.seed + 1)
-    return quad, x @ y
-
-
-def _failing_projection_pair(phi: SuperOperator, e, f, tol: float):
-    """``(E, F, eigenvalue, vector)`` if Ad_E . Phi . Ad_F fails the CP test, else None."""
-    comp = ad_map(e).compose(phi).compose(ad_map(f))
-    vals, vecs = linalg.hermitian_part_eigen(comp.choi)
-    if vals[0] < -tol:
-        return e, f, float(vals[0]), vecs[:, 0]
-    return None
-
-
-def _rank_k_projection_pair_refute(phi: SuperOperator, k: int, cfg: MemberConfig):
-    """Rank-k projections (E, F) making Ad_E . Phi . Ad_F fail the CP test.
-
-    E and F project onto the range and the row space of the Schmidt-rank-k
-    minimizer V.  The composition's quadratic form at vec(W) is Phi's at
-    vec(E W F), so its lowest eigenvalue is at most the value at V, and no
-    sampled projection pair can do better than the minimizer.
-    """
-    quad, v = _schmidt_rank_min(phi.choi, phi.m, phi.n, k, cfg)
-    if quad >= -cfg.tol:
+    m, n = phi.dims
+    if v is None and k == min(m, n):
+        v = unvec(linalg.hermitian_part_eigen(phi.choi)[1][:, 0], m, n)
+    elif v is None:
+        _, x, y = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
+                                          cfg.max_iters, cfg.seed + 1)
+        v = x @ y
+    # <Ad_V, phi> is the Choi quadratic form at vec(V)
+    w = superop.vec(v)
+    value = float(np.real(np.vdot(w, phi.choi @ w)))
+    if value >= -cfg.tol:
         return None
-    return _failing_projection_pair(phi, *_projection_pair(v, k), cfg.tol)
+    return ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
 
 
-def _projection_pair(v, k: int):
-    """Rank-k projections ``(E, F)`` onto the top-k left and right singular
-    spaces of v: its range and row space when rank(v) <= k (padded if less)."""
-    u, _, vh = np.linalg.svd(v)
-    return u[:, :k] @ u[:, :k].conj().T, vh[:k].conj().T @ vh[:k]
-
-
-def _family_projection_witness(phi: SuperOperator, w, k: int, cfg: MemberConfig):
-    """Refuting projection pair for a family-pattern map above its k-threshold.
-
-    The top-k singular truncation of W = unvec(w) vectorizes to the
-    Schmidt-rank-k direction with the most negative quadratic form; its range
-    and row projections realize the failing Ad_E . Phi . Ad_F composition.
-    """
-    return _failing_projection_pair(phi, *_projection_pair(unvec(w, phi.m, phi.n), k),
-                                    cfg.tol)
+def _dual_verdict(found, route: str, cfg: MemberConfig) -> Verdict:
+    """The not-member verdict of a refuting dual element ``(psi, pairing, certificate)``."""
+    psi, value, cert = found
+    return Verdict(NOT_MEMBER,
+                   witness={"type": "dual_element", "psi": psi, "psi_certificate": cert,
+                            "pairing": value},
+                   diagnostics={"route": route, "cfg": cfg.as_dict()})
 
 
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------
 
-def _cp_verdict(phi: SuperOperator, cfg: MemberConfig) -> Verdict:
-    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+def _cp_verdict(vals, vecs, cfg: MemberConfig) -> Verdict:
+    """The CP verdict read off the Choi eigenpairs ``(vals, vecs)``."""
     val, vec_neg = float(vals[0]), vecs[:, 0]
     diag = {"min_eigenvalue": val, "cfg": cfg.as_dict()}
     if val >= -cfg.tol:
@@ -578,56 +545,35 @@ def _cp_verdict(phi: SuperOperator, cfg: MemberConfig) -> Verdict:
                    diagnostics=diag)
 
 
-def _kraus_from_eigen(phi: SuperOperator, k: int, cfg: MemberConfig):
-    """Try to exhibit a Kraus decomposition with all operator ranks <= k."""
-    vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, tol: float):
+    """The Kraus operators sqrt(lambda) unvec(v) of the Choi eigenpairs
+    ``(vals, vecs)`` when all their ranks are <= k, else None."""
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if vals[0] < -cfg.tol * scale:
+    if vals[0] < -tol * scale:
         return None
-    rng = np.random.default_rng(cfg.seed + 2)
-
-    def attempt(basis):
-        ops = []
-        for idx in range(len(vals)):
-            if vals[idx] <= cfg.tol * scale:
-                continue
-            v = np.sqrt(vals[idx]) * basis[:, idx]
-            op = unvec(v, phi.m, phi.n)
-            sv = linalg.singular_values(op)
-            rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
-            if rank > k:
-                return None
-            ops.append(op)
-        if not ops:
-            # zero map: empty decomposition, represented by a zero op
-            ops.append(np.zeros((phi.n, phi.m), dtype=np.complex128))
-        return ops
-
-    ops = attempt(vecs)
-    if ops is not None:
-        return ops
-    # mix within (near-)degenerate eigenspaces; eigenvectors are only one
-    # valid Kraus choice and need not be rank-minimal
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or abs(vals[i] - vals[start]) > 1e-7 * scale:
-            clusters.append((start, i))
-            start = i
-    for _ in range(cfg.max_iters):
-        basis = vecs.copy()
-        for lo, hi in clusters:
-            if hi - lo > 1:
-                u = linalg.random_unitary(hi - lo, rng)
-                basis[:, lo:hi] = basis[:, lo:hi] @ u
-        ops = attempt(basis)
-        if ops is not None:
-            return ops
-    return None
+    ops = []
+    for val, vec in zip(vals, vecs.T):
+        if val <= tol * scale:
+            continue
+        op = unvec(np.sqrt(val) * vec, phi.m, phi.n)
+        sv = linalg.singular_values(op)
+        if int(np.sum(sv > 1e-8 * max(1.0, sv[0]))) > k:
+            return None
+        ops.append(op)
+    if not ops:
+        # zero map: empty decomposition, represented by a zero op
+        ops.append(np.zeros((phi.n, phi.m), dtype=np.complex128))
+    return ops
 
 
 def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig()) -> Verdict:
     """Decide membership of a Hermiticity-preserving map in a normalized cone.
+
+    A CP refutation is the negative Choi eigenvector.  A Pk(k) refutation,
+    and an SPk(k) refutation by a negative Choi eigenvalue, is a
+    ``dual_element`` witness: a conjugation Ad_V with rank V <= k (rank V <=
+    min(m, n) for SPk) whose ``pairing`` with phi is below -tol, the same one
+    :func:`witness_search` returns.
 
     The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
     routes, the ``route`` that decided.  Two ``unknown`` verdicts also report
@@ -647,16 +593,20 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     m, n = phi.dims
     kmax = min(m, n)
 
+    if isinstance(expr, Base):
+        # one Choi spectrum serves every base-cone route
+        vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+
     if isinstance(expr, Base) and expr.kind == "CP":
-        return _cp_verdict(phi, cfg)
+        return _cp_verdict(vals, vecs, cfg)
 
     if isinstance(expr, Base) and expr.kind == "Pk":
         k = expr.k
-        cp = _cp_verdict(phi, cfg)
+        cp = _cp_verdict(vals, vecs, cfg)
         if cp.status == MEMBER:
             cp.diagnostics["route"] = "cp_subset"
             return cp
-        pattern = _spectral_family_pattern(phi, cfg.tol)
+        pattern = _spectral_family_pattern(phi, vals, vecs, cfg.tol)
         if pattern is not None and pattern[0] > cfg.tol:
             a, b, w = pattern
             lhs = (b / a) * _family_kfan(w, m, n, k)
@@ -666,40 +616,26 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                                             "k": k, "threshold_lhs": lhs},
                                diagnostics={"route": "family_pattern",
                                             "cfg": cfg.as_dict()})
-            found = _family_projection_witness(phi, w, k, cfg)
+            # the top-k singular truncation of unvec(w) is the unit vector of
+            # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
+            u, s, vh = np.linalg.svd(unvec(w, m, n))
+            v = (u[:, :k] * s[:k]) @ vh[:k]
+            found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))
             if found is not None:
-                e, f, val, vec_neg = found
-                return Verdict(NOT_MEMBER,
-                               witness={"type": "projection_pair", "E": e, "F": f,
-                                        "eigenvalue": val, "vector": vec_neg, "k": k},
-                               diagnostics={"route": "family_projection",
-                                            "cfg": cfg.as_dict()})
+                return _dual_verdict(found, "family_projection", cfg)
         if k == 1:
             # completely copositive maps are positive: Phi . t in CP certifies
-            co = _cp_verdict(phi.right_transpose(), cfg)
+            co = _cp_verdict(*linalg.hermitian_part_eigen(phi.right_transpose().choi), cfg)
             if co.status == MEMBER:
                 return Verdict(MEMBER,
                                certificate={"type": "twirled",
                                             "inner": co.certificate},
                                diagnostics={"route": "co_cp_subset",
                                             "cfg": cfg.as_dict()})
-            val, ups, omega = _positivity_refute(phi, cfg)
-            if val < -cfg.tol:
-                return Verdict(NOT_MEMBER,
-                               witness={"type": "vector_pair", "upsilon": ups,
-                                        "omega": omega, "value": val},
-                               diagnostics={"route": "vector_search",
-                                            "restarts": _VECTOR_RESTARTS,
-                                            "cfg": cfg.as_dict()})
-        else:
-            found = _rank_k_projection_pair_refute(phi, k, cfg)
-            if found is not None:
-                e, f, val, vec_neg = found
-                return Verdict(NOT_MEMBER,
-                               witness={"type": "projection_pair", "E": e, "F": f,
-                                        "eigenvalue": val, "vector": vec_neg, "k": k},
-                               diagnostics={"route": "projection_search",
-                                            "cfg": cfg.as_dict()})
+        found = _conjugation_witness(phi, k, cfg)
+        if found is not None:
+            return _dual_verdict(found, "vector_search" if k == 1 else "projection_search",
+                                 cfg)
         return Verdict(UNKNOWN,
                        diagnostics={"note": "refuter found no violation; "
                                             "k-positivity certification is incomplete",
@@ -707,18 +643,10 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     if isinstance(expr, Base) and expr.kind == "SPk":
         k = expr.k
-        vals, vecs = linalg.hermitian_part_eigen(phi.choi)
-        val = float(vals[0])
-        if val < -cfg.tol:
-            x = unvec(vecs[:, 0], m, n)
-            return Verdict(NOT_MEMBER,
-                           witness={"type": "dual_element",
-                                    "psi": ad_map(x),
-                                    "psi_certificate": {"type": "kraus", "ops": [x],
-                                                       "rank_bound": kmax},
-                                    "pairing": val},
-                           diagnostics={"route": "not_cp", "cfg": cfg.as_dict()})
-        ops = _kraus_from_eigen(phi, k, cfg)
+        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))
+        if found is not None:
+            return _dual_verdict(found, "not_cp", cfg)
+        ops = _kraus_from_eigen(phi, k, vals, vecs, cfg.tol)
         if ops is not None:
             return Verdict(MEMBER,
                            certificate={"type": "kraus", "ops": ops, "rank_bound": k},
@@ -790,12 +718,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                            diagnostics={"route": "join", "cfg": cfg.as_dict()})
         found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
         if found is not None:
-            psi, value, cert = found
-            return Verdict(NOT_MEMBER,
-                           witness={"type": "dual_element", "psi": psi,
-                                    "psi_certificate": cert, "pairing": value},
-                           diagnostics={"route": "join_dual_witness",
-                                        "cfg": cfg.as_dict()})
+            return _dual_verdict(found, "join_dual_witness", cfg)
         return Verdict(UNKNOWN,
                        diagnostics={"route": "join",
                                     "note": "neither child certified and no dual witness",
@@ -816,29 +739,17 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
 
     Returns ``(psi, value, certificate)`` with the certificate proving
     membership of psi in dual(expr), or None when no witness is found.  A
-    dual of CP or SPk(k) is searched exactly (spectrum) or by the Schmidt-rank
-    minimizer; any other dual is searched over ``cfg.samples`` sampled
-    generators, built as one Choi stack and paired with phi in one
-    contraction, and the first generator of least pairing is returned.
+    dual of CP or SPk(k) is searched for a conjugation Ad_V with rank V <= k,
+    the same one :func:`member` refutes CP or Pk(k) with.  Any other dual is
+    searched over ``cfg.samples`` sampled generators, built as one Choi stack
+    and paired with phi in one contraction, and the first generator of least
+    pairing is returned.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("witness search is defined for Hermiticity-preserving maps")
-    m, n = phi.dims
-    kmax = min(m, n)
     d = dual_expr(expr)
     if isinstance(d, Base) and d.kind in ("CP", "SPk"):
-        k = kmax if d.kind == "CP" else d.k
-        if k == kmax:
-            vals, vecs = linalg.hermitian_part_eigen(phi.choi)
-            val = float(vals[0])
-            if val < -cfg.tol:
-                op = unvec(vecs[:, 0], m, n)
-                return ad_map(op), val, {"type": "kraus", "ops": [op], "rank_bound": kmax}
-            return None
-        quad, v = _schmidt_rank_min(phi.choi, m, n, k, cfg)
-        if quad < -cfg.tol:
-            return ad_map(v), quad, {"type": "kraus", "ops": [v], "rank_bound": k}
-        return None
+        return _conjugation_witness(phi, min(phi.dims) if d.kind == "CP" else d.k, cfg)
     return _sampled_witness(phi, d, cfg)[0]
 
 
@@ -914,8 +825,6 @@ def _rebuild(cert: dict, m: int, n: int) -> SuperOperator:
     kind = cert["type"]
     if kind == "kraus":
         return from_kraus(cert["ops"])
-    if kind == "twirled_kraus":
-        return from_kraus(cert["ops"]).right_transpose()
     if kind == "family":
         w = cert["w"]
         return SuperOperator(m, n, cert["a"] * np.eye(m * n) - cert["b"] * np.outer(w, w.conj()))
@@ -944,9 +853,6 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
             if sv[0] > 0 and int(np.sum(sv > 1e-8 * sv[0])) > cert["rank_bound"]:
                 return False
         return True
-    if kind == "twirled_kraus":
-        rebuilt = from_kraus(cert["ops"]).right_transpose()
-        return phi.isclose(rebuilt, 1e-8)
     if kind == "family":
         d = phi.m * phi.n
         a, b, w = cert["a"], cert["b"], cert["w"]
@@ -983,15 +889,6 @@ def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
     if kind == "negative_eigenvector":
         x = wit["vector"]
         quad = float(np.real(np.vdot(x, phi.choi @ x))) / float(np.real(np.vdot(x, x)))
-        return quad < -tol / 2
-    if kind == "vector_pair":
-        ups, omega = wit["upsilon"], wit["omega"]
-        val = float(np.real(np.vdot(omega, phi.apply(np.outer(ups, ups.conj())) @ omega)))
-        return val < -tol / 2
-    if kind == "projection_pair":
-        comp = ad_map(wit["E"]).compose(phi).compose(ad_map(wit["F"]))
-        x = wit["vector"]
-        quad = float(np.real(np.vdot(x, comp.choi @ x))) / float(np.real(np.vdot(x, x)))
         return quad < -tol / 2
     if kind == "dual_element":
         psi = wit["psi"]

@@ -394,15 +394,25 @@ def _ckl_choi(a, b, c):
     return c4.reshape(9, 9)
 
 
+def _assert_conjugation_witness(phi, verdict, route, k):
+    # the refutation is a generator Ad_V of SPk(k) with rank V exactly k
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == route
+    wit = verdict.witness
+    assert wit["type"] == "dual_element"
+    cert = wit["psi_certificate"]
+    assert cert["type"] == "kraus" and cert["rank_bound"] == k and len(cert["ops"]) == 1
+    assert np.linalg.matrix_rank(cert["ops"][0], tol=1e-8) == k
+    assert wit["pairing"] < -CFG.tol
+    assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
+    assert recheck(phi, verdict)
+
+
 def test_vector_search_refutes_non_positive_cho_kye_lee_map():
     # a + b + c < 3: Phi[2, 0.8, 0] is not positive
     phi = superop.from_choi(_ckl_choi(2.0, 0.8, 0.0), 3, 3)
     verdict = member(phi, normalize(parse_cone("P"), 3, 3), CFG)
-    assert verdict.status == NOT_MEMBER
-    assert verdict.diagnostics["route"] == "vector_search"
-    assert verdict.witness["type"] == "vector_pair"
-    assert verdict.witness["value"] < -CFG.tol
-    assert recheck(phi, verdict)
+    _assert_conjugation_witness(phi, verdict, "vector_search", 1)
 
 
 def test_projection_search_refutes_perturbed_family_map_above_threshold():
@@ -414,11 +424,45 @@ def test_projection_search_refutes_perturbed_family_map_above_threshold():
     choi = build(PhiLambdaSpec(v, lam)).choi + 1e-3 * extra / np.linalg.eigvalsh(extra)[-1]
     phi = superop.from_choi(choi, 3, 3)
     verdict = member(phi, normalize(parse_cone("Pk(2)"), 3, 3), CFG)
-    assert verdict.status == NOT_MEMBER
-    assert verdict.diagnostics["route"] == "projection_search"
-    wit = verdict.witness
-    assert wit["type"] == "projection_pair" and wit["k"] == 2
-    assert np.linalg.matrix_rank(wit["E"], tol=1e-8) == 2
-    assert np.linalg.matrix_rank(wit["F"], tol=1e-8) == 2
-    assert wit["eigenvalue"] < -CFG.tol
-    assert recheck(phi, verdict)
+    _assert_conjugation_witness(phi, verdict, "projection_search", 2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_family_projection_refutes_family_map_above_threshold(k):
+    # Choi = I - lam vec(V) vec(V)^H, so a = 1, b = lam ||V||^2 and
+    # b * fan_k(w) = lam * (sum of the k largest squared singular values of V)
+    v = linalg.random_complex((3, 3), np.random.default_rng(31))
+    lam = 1.2 * k_positivity_threshold(v, k)
+    phi = build(PhiLambdaSpec(v, lam))
+    verdict = member(phi, normalize(parse_cone("P" if k == 1 else f"Pk({k})"), 3, 3), CFG)
+    _assert_conjugation_witness(phi, verdict, "family_projection", k)
+    sv = np.linalg.svd(v, compute_uv=False)
+    assert abs(verdict.witness["pairing"] - (1.0 - lam * np.sum(sv[:k] ** 2))) <= 1e-12
+
+
+def test_member_and_witness_search_refute_with_the_same_conjugation():
+    rng = np.random.default_rng(37)
+    v = linalg.random_complex((3, 3), rng)
+    cases = [(superop.random_hp_map(3, 3, rng), text) for text in ("P", "Pk(2)")
+             for _ in range(3)]
+    cases += [(build(PhiLambdaSpec(v, 1.3 * k_positivity_threshold(v, 2))), "Pk(2)"),
+              (superop.from_choi(_ckl_choi(2.0, 0.8, 0.0), 3, 3), "P"),
+              (superop.random_cp_map(3, 3, rng), "P"),
+              (superop.random_cp_map(3, 3, rng), "Pk(2)")]
+    refuted = 0
+    for phi, text in cases:
+        expr = normalize(parse_cone(text), 3, 3)
+        verdict = member(phi, expr, CFG)
+        found = witness_search(phi, expr, CFG)
+        assert (verdict.status == NOT_MEMBER) == (found is not None), text
+        if found is None:
+            continue
+        refuted += 1
+        psi = verdict.witness["psi"]
+        if verdict.diagnostics["route"] == "family_projection":
+            # the exact truncation against the minimizer that approaches it
+            assert psi.isclose(found[0], 1e-6)
+        else:
+            assert np.array_equal(psi.choi, found[0].choi)
+            assert verdict.witness["pairing"] == found[1]
+    assert refuted == len(cases) - 2
