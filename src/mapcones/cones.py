@@ -19,6 +19,11 @@ truncation of unvec(w) for a family-pattern map, the lowest Choi eigenvector
 at k = min(m, n), and otherwise the minimizer of the Choi quadratic form over
 vectors of Schmidt rank <= k, found by batched alternating minimization.
 k-superpositivity is certified by explicit Kraus decompositions.
+Decomposability, membership in join(CP, t(CP)), is a two-cone feasibility
+problem decided by alternating PSD projections: a certificate splits the Choi
+matrix into a CP and a co-CP part, and a refutation is a PPT element of the
+dual cone meet(CP, t(CP)) that pairs negatively with the map.  Other joins are
+refuted by sampling their dual cone.
 """
 
 from __future__ import annotations
@@ -263,8 +268,10 @@ class MemberConfig:
 
     ``tol`` is the decision tolerance, ``samples`` bounds the sampled
     generators, ``seed`` fixes every random start, and ``max_iters`` is the
-    upper bound on the sweeps of the Schmidt-rank-k minimization (it stops
-    earlier once it converges).
+    upper bound on the sweeps of both iterative searches: the Schmidt-rank-k
+    minimization (it stops earlier once it converges) and the alternating
+    projections that decide join(CP, t(CP)) (they stop at the first
+    certificate or witness).
     """
 
     tol: float = 1e-9
@@ -519,13 +526,98 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     return ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
 
 
-def _dual_verdict(found, route: str, cfg: MemberConfig) -> Verdict:
+def _dual_verdict(found, route: str, cfg: MemberConfig, **effort) -> Verdict:
     """The not-member verdict of a refuting dual element ``(psi, pairing, certificate)``."""
     psi, value, cert = found
     return Verdict(NOT_MEMBER,
                    witness={"type": "dual_element", "psi": psi, "psi_certificate": cert,
                             "pairing": value},
-                   diagnostics={"route": route, "cfg": cfg.as_dict()})
+                   diagnostics={"route": route, **effort, "cfg": cfg.as_dict()})
+
+
+# ---------------------------------------------------------------------------
+# Decomposability: join(CP, t(CP)) by alternating projections
+# ---------------------------------------------------------------------------
+
+_CP = Base("CP")
+# both orders of the decomposable maps, CP + t(CP)
+_DECOMPOSABLE = (Join(_CP, Twirl(_CP)), Join(Twirl(_CP), _CP))
+
+
+def _psd_kraus(vals, vecs, m: int, n: int) -> list:
+    """Kraus operators sqrt(lambda) unvec(v) of the eigenpairs with lambda > 0;
+    the zero map gets one zero operator, an empty decomposition."""
+    ops = [unvec(np.sqrt(val) * vec, m, n) for val, vec in zip(vals, vecs.T) if val > 0]
+    return ops or [np.zeros((n, m), dtype=np.complex128)]
+
+
+def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = False):
+    """Decide phi in join(CP, t(CP)): find A >= 0 whose remainder C - A, C the
+    Choi matrix of phi, lies in t(CP), i.e. (C - A)^G >= 0 for the twirl G.
+
+    Plain alternating projections between two convex sets: the PSD matrices,
+    with eigenvalues clipped at the floor 1e-6 * max|C| so that the iterates
+    move into the interior, and the matrices A with (C - A)^G >= 0, onto which
+    A -> C - G(clip(G(C - A))) projects exactly because G only permutes
+    entries.  A sweep takes one eigendecomposition on each side.  It starts
+    on the second set (at A = C), and it has two exits:
+
+    * feasible: A >= 0, so phi is the hull, weights (1, 1), of the CP map A
+      and the twirled CP map (C - A)^G (in the order of the join when
+      ``twirl_first``);
+    * infeasible: the displacement y - z between the clipped iterate y and
+      its projection z is G(X_-), X_- the negative part of X = G(C - y).  Its
+      partial transpose X_- is PSD; lifted by delta * I, delta =
+      max(0, -lambda_min), and scaled to unit trace it is a PPT rho, a
+      generator of the dual cone meet(CP, t(CP)).  <rho, C> < -tol refutes phi.
+
+    Returns ``(certificate, found, sweeps, closest)``: the hull certificate
+    or the refuting ``(psi, pairing, certificate)`` (at most one of them, both
+    None after ``cfg.max_iters`` sweeps), the sweeps taken, and the least
+    pairing of phi with the dual elements rho tried.
+    """
+    m, n = phi.dims
+    kmax = min(m, n)
+    c = phi.choi
+    floor = 1e-6 * float(np.max(np.abs(c)))
+    # (C - A)^G as clipped eigenpairs; zero at the start, A = C
+    a, rest_vals, rest_vecs = c, np.zeros(m * n), np.eye(m * n)
+    closest = np.inf
+    for sweep in range(1, cfg.max_iters + 1):
+        vals, vecs = linalg.hermitian_part_eigen(a)
+        if vals[0] >= 0:
+            parts = [{"type": "kraus", "ops": _psd_kraus(vals, vecs, m, n), "rank_bound": kmax},
+                     {"type": "twirled",
+                      "inner": {"type": "kraus", "ops": _psd_kraus(rest_vals, rest_vecs, m, n),
+                                "rank_bound": kmax}}]
+            cert = {"type": "hull", "weights": (1.0, 1.0),
+                    "parts": parts[::-1] if twirl_first else parts}
+            return cert, None, sweep, closest
+        y = (vecs * np.maximum(vals, floor)) @ vecs.conj().T
+        x_vals, x_vecs = linalg.hermitian_part_eigen(superop.twirl_stack(c - y, m, n))
+        neg = np.maximum(-x_vals, 0.0)
+        if neg[0] > 0:
+            rho = superop.twirl_stack((x_vecs * neg) @ x_vecs.conj().T, m, n)
+            delta = max(0.0, -float(linalg.hermitian_part_eigvals(rho)[0]))
+            scale = neg.sum() + delta * m * n
+            rho = (rho + delta * np.eye(m * n)) / scale
+            # <rho, C> as pair(psi, phi) computes it
+            value = float(np.real(np.vdot(c, rho)))
+            closest = min(closest, value)
+            if value < -cfg.tol:
+                psi = SuperOperator(m, n, rho)
+                cert = {"type": "meet",
+                        "part": {"type": "kraus",
+                                 "ops": _psd_kraus(*linalg.hermitian_part_eigen(rho), m, n),
+                                 "rank_bound": kmax},
+                        "via": "verified",
+                        "other_cert": {"type": "twirled",
+                                       "inner": {"type": "psd_floor",
+                                                 "min_eigenvalue": (neg[-1] + delta) / scale}}}
+                return None, (psi, pair(psi, phi, cfg.tol), cert), sweep, closest
+        rest_vals, rest_vecs = np.maximum(x_vals, 0.0), x_vecs
+        a = c - superop.twirl_stack((x_vecs * rest_vals) @ x_vecs.conj().T, m, n)
+    return None, None, cfg.max_iters, closest
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +643,11 @@ def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, tol: float):
     scale = max(1.0, float(np.max(np.abs(vals))))
     if vals[0] < -tol * scale:
         return None
-    ops = []
-    for val, vec in zip(vals, vecs.T):
-        if val <= tol * scale:
-            continue
-        op = unvec(np.sqrt(val) * vec, phi.m, phi.n)
+    ops = _psd_kraus(np.where(vals > tol * scale, vals, 0.0), vecs, phi.m, phi.n)
+    for op in ops:
         sv = linalg.singular_values(op)
         if int(np.sum(sv > 1e-8 * max(1.0, sv[0]))) > k:
             return None
-        ops.append(op)
-    if not ops:
-        # zero map: empty decomposition, represented by a zero op
-        ops.append(np.zeros((phi.n, phi.m), dtype=np.complex128))
     return ops
 
 
@@ -575,13 +660,22 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     min(m, n) for SPk) whose ``pairing`` with phi is below -tol, the same one
     :func:`witness_search` returns.
 
-    The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
-    routes, the ``route`` that decided.  Two ``unknown`` verdicts also report
-    the closest approach their sampled dual search found:
+    join(CP, t(CP)), in either order, is decided by :func:`_decomposition`
+    once neither child certifies phi: a ``hull`` certificate of a CP and a
+    twirled CP part (route ``join``), or a ``dual_element`` witness, a PPT
+    map of unit trace whose pairing with phi is below -tol (route
+    ``join_dual_witness``).  Any other join is refuted by sampled generators
+    of its dual cone.
 
-    * ``join``: ``closest_pairing``, the least pairing of phi with the
-      ``dual_samples`` sampled generators of the dual cone (a witness needs
-      one below -tol);
+    The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
+    routes, the ``route`` that decided.  Every join(CP, t(CP)) verdict
+    reports its ``sweeps`` (0 when a child decided); other join verdicts
+    that sampled report ``dual_samples``.  Two ``unknown`` verdicts also
+    report the closest approach their dual search found:
+
+    * ``join``: ``closest_pairing``, the least pairing of phi with the dual
+      elements tried, the PPT maps of the sweeps for join(CP, t(CP)) and
+      the sampled generators otherwise (a witness needs one below -tol);
     * ``SPk``: ``closest_composition_eigenvalue``, the least Choi eigenvalue
       of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
       Pk (a witness needs one below -tol).
@@ -609,8 +703,11 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         pattern = _spectral_family_pattern(phi, vals, vecs, cfg.tol)
         if pattern is not None and pattern[0] > cfg.tol:
             a, b, w = pattern
-            lhs = (b / a) * _family_kfan(w, m, n, k)
-            if lhs <= 1.0 + cfg.tol:
+            fan = _family_kfan(w, m, n, k)
+            lhs = (b / a) * fan
+            # the pairing a - b * fan_k(w) is the one the refuters compare
+            # with -tol, so an accepted map has no refutation
+            if lhs <= 1.0 + cfg.tol and a - b * fan >= -cfg.tol:
                 return Verdict(MEMBER,
                                certificate={"type": "family", "a": a, "b": b, "w": w,
                                             "k": k, "threshold_lhs": lhs},
@@ -704,27 +801,35 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         return Verdict(UNKNOWN, diagnostics=diag)
 
     if isinstance(expr, Join):
+        effort = {"sweeps": 0} if expr in _DECOMPOSABLE else {}
         left = member(phi, expr.left, cfg)
         if left.status == MEMBER:
             return Verdict(MEMBER,
                            certificate={"type": "child_certificate", "side": "left",
                                         "child": expr.left, "inner": left.certificate},
-                           diagnostics={"route": "join", "cfg": cfg.as_dict()})
+                           diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
         right = member(phi, expr.right, cfg)
         if right.status == MEMBER:
             return Verdict(MEMBER,
                            certificate={"type": "child_certificate", "side": "right",
                                         "child": expr.right, "inner": right.certificate},
-                           diagnostics={"route": "join", "cfg": cfg.as_dict()})
-        found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
+                           diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
+        if expr in _DECOMPOSABLE:
+            cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
+            effort = {"sweeps": sweeps}
+            if cert is not None:
+                return Verdict(MEMBER, certificate=cert,
+                               diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
+        else:
+            found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
+            effort = {"dual_samples": cfg.samples}
         if found is not None:
-            return _dual_verdict(found, "join_dual_witness", cfg)
+            return _dual_verdict(found, "join_dual_witness", cfg, **effort)
         return Verdict(UNKNOWN,
                        diagnostics={"route": "join",
                                     "note": "neither child certified and no dual witness",
                                     "left": left.status, "right": right.status,
-                                    "closest_pairing": closest,
-                                    "dual_samples": cfg.samples,
+                                    "closest_pairing": closest, **effort,
                                     "cfg": cfg.as_dict()})
 
     raise TypeError(f"membership needs a normalized cone expression, got {expr!r}")
@@ -740,16 +845,21 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
     Returns ``(psi, value, certificate)`` with the certificate proving
     membership of psi in dual(expr), or None when no witness is found.  A
     dual of CP or SPk(k) is searched for a conjugation Ad_V with rank V <= k,
-    the same one :func:`member` refutes CP or Pk(k) with.  Any other dual is
-    searched over ``cfg.samples`` sampled generators, built as one Choi stack
-    and paired with phi in one contraction, and the first generator of least
-    pairing is returned.
+    the same one :func:`member` refutes CP or Pk(k) with.  The dual
+    meet(CP, t(CP)) of join(CP, t(CP)) is searched by the alternating
+    projections of :func:`_decomposition`, which return the PPT element
+    :func:`member` refutes with (None when they certify phi or run out of
+    sweeps).  Any other dual is searched over ``cfg.samples`` sampled
+    generators, built as one Choi stack and paired with phi in one
+    contraction, and the first generator of least pairing is returned.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("witness search is defined for Hermiticity-preserving maps")
     d = dual_expr(expr)
     if isinstance(d, Base) and d.kind in ("CP", "SPk"):
         return _conjugation_witness(phi, min(phi.dims) if d.kind == "CP" else d.k, cfg)
+    if expr in _DECOMPOSABLE:
+        return _decomposition(phi, cfg)[1]
     return _sampled_witness(phi, d, cfg)[0]
 
 

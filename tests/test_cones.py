@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from mapcones import cones, linalg, superop
+from mapcones import cli, cones, linalg, superop
 from mapcones.cones import (
     MEMBER,
     NOT_MEMBER,
@@ -251,9 +252,10 @@ def test_join_witness_search_makes_two_eigensolver_calls(monkeypatch):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
+    # (witness_search on join(CP,t(CP)) runs the projection engine instead)
     phi = superop.random_hp_map(3, 3, np.random.default_rng(4))
-    witness_search(phi, normalize(parse_cone("join(CP,t(CP))"), 3, 3),
-                   MemberConfig(samples=500, seed=0))
+    cones._sampled_witness(phi, normalize(parse_cone("meet(CP,t(CP))"), 3, 3),
+                           MemberConfig(samples=500, seed=0))
     assert len(calls) == 2
 
 
@@ -296,19 +298,27 @@ def test_spk_dual_sampling_returns_the_first_hit_of_the_per_sample_loop():
 
 
 def test_unknown_verdicts_report_the_closest_approach():
-    # Phi[2,1,0] is positive but not decomposable, and no sampled dual
-    # generator of join(CP,t(CP)) refutes it
+    # Phi[2,1,0] is positive but not decomposable: no sampled dual generator
+    # of join(CP,t(CP)) refutes it, but the projection engine does
     phi = superop.from_choi(_ckl_choi(2.0, 1.0, 0.0), 3, 3)
     expr = normalize(parse_cone("join(CP,t(CP))"), 3, 3)
+    gens = cones._sample_with_certs(dual_expr(expr), 3, 3, CFG.samples,
+                                    np.random.default_rng(CFG.seed))
+    assert min(pair(g, phi) for g, _ in gens) >= -CFG.tol
+    verdict = member(phi, expr, CFG)
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == "join_dual_witness"
+    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+    assert recheck(phi, verdict)
+    # Phi[2,.5,.5] sits on the boundary, b c = ((3 - a) / 2)^2: every sweep
+    # runs, and the PPT elements tried approach a zero pairing from above
+    phi = superop.from_choi(_ckl_choi(2.0, 0.5, 0.5), 3, 3)
     verdict = member(phi, expr, CFG)
     assert verdict.status == UNKNOWN
     diag = verdict.diagnostics
-    assert diag["dual_samples"] == CFG.samples
-    gens = cones._sample_with_certs(dual_expr(expr), 3, 3, CFG.samples,
-                                    np.random.default_rng(CFG.seed))
-    closest = min(pair(g, phi) for g, _ in gens)
-    assert closest >= -CFG.tol
-    assert abs(diag["closest_pairing"] - closest) <= 1e-12
+    assert diag["route"] == "join" and "dual_samples" not in diag
+    assert diag["sweeps"] == CFG.max_iters
+    assert -CFG.tol <= diag["closest_pairing"] <= 1e-6
     # a sum of three rank-2 conjugations lies in SPk(2), so no dual refutes it
     rng = np.random.default_rng(3)
     ops = [linalg.random_complex((3, 2), rng) @ linalg.random_complex((2, 3), rng)
@@ -466,3 +476,129 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
             assert np.array_equal(psi.choi, found[0].choi)
             assert verdict.witness["pairing"] == found[1]
     assert refuted == len(cases) - 2
+
+
+def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
+    # 10^3 times the family map just above its k = 2 threshold: (b/a) fan_2(w)
+    # is 1 + 5e-10, within tol of 1, but the pairing a - b fan_2(w) is -5e-7
+    v = linalg.random_complex((3, 3), np.random.default_rng(41))
+    lam = (1 + 5e-10) * k_positivity_threshold(v, 2)
+    phi = superop.from_choi(1e3 * build(PhiLambdaSpec(v, lam)).choi, 3, 3)
+    expr = normalize(parse_cone("Pk(2)"), 3, 3)
+    found = witness_search(phi, expr, CFG)
+    assert found is not None and found[1] < -CFG.tol
+    _assert_conjugation_witness(phi, member(phi, expr, CFG), "family_projection", 2)
+
+
+# ---------------------------------------------------------------------------
+# join(CP,t(CP)) by alternating projections
+# ---------------------------------------------------------------------------
+
+JOIN = "join(CP,t(CP))"
+
+
+def _rotated(choi, seed):
+    """Choi matrix of X -> U Phi(W X W^dagger) U^dagger for Haar U, W; local
+    unitaries keep a map's (in)decomposability."""
+    rng = np.random.default_rng(seed)
+    u, w = linalg.random_unitary(3, rng), linalg.random_unitary(3, rng)
+    g = np.kron(w.T, u)
+    return superop.from_choi(g @ choi @ g.conj().T, 3, 3)
+
+
+def _assert_ppt(psi):
+    # a PPT rho of unit trace, a generator of meet(CP,t(CP))
+    rho = psi.choi
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert np.linalg.eigvalsh(superop.twirl_stack(rho, *psi.dims))[0] >= -1e-12
+    assert abs(np.trace(rho) - 1) <= 1e-12
+
+
+# Phi[2,1,0] and Phi[2+eps,1+eps,eps] (eps < 0.155) are positive, not decomposable
+INDECOMPOSABLE = [(2.0, 1.0, 0.0), (2.05, 1.05, 0.05)]
+
+
+@pytest.mark.parametrize("abc", INDECOMPOSABLE)
+def test_decomposition_refutes_indecomposable_cho_kye_lee_maps(abc):
+    phi = _rotated(_ckl_choi(*abc), 43)
+    verdict = member(phi, normalize(parse_cone(JOIN), 3, 3), CFG)
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == "join_dual_witness"
+    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+    wit = verdict.witness
+    _assert_ppt(wit["psi"])
+    assert wit["psi_certificate"]["type"] == "meet"
+    assert wit["pairing"] < -CFG.tol
+    assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
+    assert recheck(phi, verdict)
+
+
+@pytest.mark.parametrize("abc", [(2.0, 0.6, 0.6), (2.5, 0.3, 0.3), (2.2, 0.8, 0.8)])
+def test_decomposition_certifies_decomposable_cho_kye_lee_maps(abc):
+    # b c > ((3 - a) / 2)^2: decomposable, though neither CP nor co-CP
+    phi = superop.from_choi(_ckl_choi(*abc), 3, 3)
+    for text, twirled in ((JOIN, [False, True]), ("join(t(CP),CP)", [True, False])):
+        verdict = member(phi, normalize(parse_cone(text), 3, 3), CFG)
+        assert verdict.status == MEMBER
+        assert verdict.diagnostics["route"] == "join"
+        cert = verdict.certificate
+        assert cert["type"] == "hull" and cert["weights"] == (1.0, 1.0)
+        assert [part["type"] == "twirled" for part in cert["parts"]] == twirled
+        assert recheck(phi, verdict)
+
+
+def _near_decomposable(m, n, rng):
+    """A decomposable map minus a random multiple of a rank-one conjugation,
+    which lands on either side of the join's boundary."""
+    d = m * n
+    g, h = linalg.random_complex((2, d, d), rng)
+    c = g @ g.conj().T + superop.twirl_stack(h @ h.conj().T, m, n)
+    w = linalg.random_complex(d, rng)
+    w /= np.linalg.norm(w)
+    c = c - rng.uniform(0.5, 1.5) * np.real(np.vdot(w, c @ w)) * np.outer(w, w.conj())
+    return superop.from_choi((c + c.conj().T) / 2, m, n)
+
+
+def test_decomposition_decides_wherever_sampling_refutes():
+    sampled = engine = 0
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rng = np.random.default_rng([m, n])
+        expr = normalize(parse_cone(JOIN), m, n)
+        for _ in range(10):
+            phi = _near_decomposable(m, n, rng)
+            by_sampling, _ = cones._sampled_witness(phi, dual_expr(expr), CFG)
+            verdict = member(phi, expr, CFG)
+            assert recheck(phi, verdict)
+            cert, found, _, _ = cones._decomposition(phi, CFG)
+            engine += cert is not None or found is not None
+            if found is not None:
+                # here the lift delta * I is needed in some maps
+                _assert_ppt(found[0])
+            if by_sampling is not None:
+                sampled += 1
+                assert found is not None, (m, n)
+    assert sampled >= 5
+    assert engine > sampled
+
+
+def test_member_and_witness_search_refute_join_with_the_same_element():
+    expr = normalize(parse_cone(JOIN), 3, 3)
+    for i, abc in enumerate(INDECOMPOSABLE):
+        phi = _rotated(_ckl_choi(*abc), 50 + i)
+        verdict = member(phi, expr, CFG)
+        psi, value, cert = witness_search(phi, expr, CFG)
+        assert np.array_equal(verdict.witness["psi"].choi, psi.choi)
+        assert verdict.witness["pairing"] == value
+        assert cert is not None
+    # a decomposable map has no witness
+    assert witness_search(superop.from_choi(_ckl_choi(2.0, 0.6, 0.6), 3, 3),
+                          expr, CFG) is None
+
+
+def test_decomposition_output_is_byte_identical_for_a_seed():
+    expr = normalize(parse_cone(JOIN), 3, 3)
+    for phi in (_rotated(_ckl_choi(2.05, 1.05, 0.05), 60),
+                superop.from_choi(_ckl_choi(2.2, 0.8, 0.8), 3, 3)):
+        a, b = (json.dumps(cli._verdict_json(member(phi, expr, MemberConfig(seed=7))))
+                for _ in range(2))
+        assert a == b
