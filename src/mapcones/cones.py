@@ -17,7 +17,10 @@ of k-positivity is a generator of the dual cone SPk: a conjugation Ad_V with
 rank V <= k whose pairing with the map is negative.  V is the top-k singular
 truncation of unvec(w) for a family-pattern map, the lowest Choi eigenvector
 at k = min(m, n), and otherwise the minimizer of the Choi quadratic form over
-vectors of Schmidt rank <= k, found by batched alternating minimization.
+vectors of Schmidt rank <= k, found by batched alternating minimization.  Only
+the comparison of that minimum with -tol decides, so the minimizer stops as
+soon as its best restart has settled below -tol; a minimum that never gets
+there runs every sweep, as it would without the stop.
 k-superpositivity is certified by explicit Kraus decompositions.
 Decomposability, membership in join(CP, t(CP)), is a two-cone feasibility
 problem decided by alternating PSD projections: a certificate splits the Choi
@@ -269,9 +272,10 @@ class MemberConfig:
     ``tol`` is the decision tolerance, ``samples`` bounds the sampled
     generators, ``seed`` fixes every random start, and ``max_iters`` is the
     upper bound on the sweeps of both iterative searches: the Schmidt-rank-k
-    minimization (it stops earlier once it converges) and the alternating
-    projections that decide join(CP, t(CP)) (they stop at the first
-    certificate or witness).
+    minimization (it stops earlier once every restart has settled, or once
+    its best restart has settled below -tol) and the alternating projections
+    that decide join(CP, t(CP)) (they stop at the first certificate or
+    witness).
     """
 
     tol: float = 1e-9
@@ -506,24 +510,30 @@ def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
 def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     """A generator Ad_V of SPk(k), the dual of Pk(k), that refutes phi.
 
-    Returns ``(Ad_V, <Ad_V, phi>, certificate)`` when the pairing is below
-    -tol, else None.  V is the given n x m operator; without one it is the
-    lowest Choi eigenvector at k = min(m, n), and otherwise the minimizer of
-    the Choi quadratic form over unit vectors of Schmidt rank <= k.
+    Returns ``(found, value, sweeps)``: found is ``(Ad_V, <Ad_V, phi>,
+    certificate)`` when the pairing ``value`` is below -tol and None
+    otherwise.  V is the given n x m operator; without one it is the lowest
+    Choi eigenvector at k = min(m, n), and otherwise the minimizer of the
+    Choi quadratic form over unit vectors of Schmidt rank <= k, found in
+    ``sweeps`` sweeps (0 when no search ran).  The minimizer stops once its
+    best restart has settled below -tol, the only comparison made here.
     """
     m, n = phi.dims
+    sweeps = 0
     if v is None and k == min(m, n):
         v = unvec(linalg.hermitian_part_eigen(phi.choi)[1][:, 0], m, n)
     elif v is None:
-        _, x, y = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                          cfg.max_iters, cfg.seed + 1)
+        _, x, y, sweeps = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
+                                                  cfg.max_iters, cfg.seed + 1,
+                                                  stop_below=-cfg.tol)
         v = x @ y
     # <Ad_V, phi> is the Choi quadratic form at vec(V)
     w = superop.vec(v)
     value = float(np.real(np.vdot(w, phi.choi @ w)))
-    if value >= -cfg.tol:
-        return None
-    return ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
+    found = None
+    if value < -cfg.tol:
+        found = ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
+    return found, value, sweeps
 
 
 def _dual_verdict(found, route: str, cfg: MemberConfig, **effort) -> Verdict:
@@ -670,12 +680,17 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
     routes, the ``route`` that decided.  Every join(CP, t(CP)) verdict
     reports its ``sweeps`` (0 when a child decided); other join verdicts
-    that sampled report ``dual_samples``.  Two ``unknown`` verdicts also
-    report the closest approach their dual search found:
+    that sampled report ``dual_samples``.  The ``vector_search`` and
+    ``projection_search`` refutations, and the Pk ``unknown`` exit, report
+    the ``sweeps`` of the Schmidt-rank-k search.  Three ``unknown`` verdicts
+    also report the closest approach their dual search found:
 
     * ``join``: ``closest_pairing``, the least pairing of phi with the dual
       elements tried, the PPT maps of the sweeps for join(CP, t(CP)) and
       the sampled generators otherwise (a witness needs one below -tol);
+    * ``Pk``: ``closest_value``, the least Choi quadratic form the
+      Schmidt-rank-k search reached, the pairing of phi with its Ad_V (a
+      witness needs one below -tol);
     * ``SPk``: ``closest_composition_eigenvalue``, the least Choi eigenvalue
       of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
       Pk (a witness needs one below -tol).
@@ -717,7 +732,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
             u, s, vh = np.linalg.svd(unvec(w, m, n))
             v = (u[:, :k] * s[:k]) @ vh[:k]
-            found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))
+            found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
             if found is not None:
                 return _dual_verdict(found, "family_projection", cfg)
         if k == 1:
@@ -729,18 +744,19 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                                             "inner": co.certificate},
                                diagnostics={"route": "co_cp_subset",
                                             "cfg": cfg.as_dict()})
-        found = _conjugation_witness(phi, k, cfg)
+        found, closest, sweeps = _conjugation_witness(phi, k, cfg)
         if found is not None:
             return _dual_verdict(found, "vector_search" if k == 1 else "projection_search",
-                                 cfg)
+                                 cfg, sweeps=sweeps)
         return Verdict(UNKNOWN,
                        diagnostics={"note": "refuter found no violation; "
                                             "k-positivity certification is incomplete",
+                                    "sweeps": sweeps, "closest_value": closest,
                                     "cfg": cfg.as_dict()})
 
     if isinstance(expr, Base) and expr.kind == "SPk":
         k = expr.k
-        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))
+        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
         if found is not None:
             return _dual_verdict(found, "not_cp", cfg)
         ops = _kraus_from_eigen(phi, k, vals, vecs, cfg.tol)
@@ -857,7 +873,7 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
         raise ValueError("witness search is defined for Hermiticity-preserving maps")
     d = dual_expr(expr)
     if isinstance(d, Base) and d.kind in ("CP", "SPk"):
-        return _conjugation_witness(phi, min(phi.dims) if d.kind == "CP" else d.k, cfg)
+        return _conjugation_witness(phi, min(phi.dims) if d.kind == "CP" else d.k, cfg)[0]
     if expr in _DECOMPOSABLE:
         return _decomposition(phi, cfg)[1]
     return _sampled_witness(phi, d, cfg)[0]
@@ -958,6 +974,8 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
         rebuilt = from_kraus(cert["ops"])
         if not phi.isclose(rebuilt, 1e-8 * max(1.0, float(np.max(np.abs(phi.choi))))):
             return False
+        if cert["rank_bound"] >= min(phi.dims):
+            return True  # no n x m operator has a higher rank
         for op in cert["ops"]:
             sv = linalg.singular_values(op)
             if sv[0] > 0 and int(np.sum(sv > 1e-8 * sv[0])) > cert["rank_bound"]:

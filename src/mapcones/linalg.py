@@ -90,7 +90,8 @@ _SWEEP_DROP = 1e-12
 SCHMIDT_RESTARTS = 8
 
 
-def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed):
+def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed,
+                     stop_below=None):
     """Minimize vec(V)^H C vec(V) over unit-norm V = X Y of Schmidt rank <= k.
 
     X is n x k and Y is k x m, so vec(X Y) spans exactly the vectors of
@@ -99,18 +100,29 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     fixed (QR of Y^H, or of X), so ||X Y|| is the norm of the free factor and
     the exact minimum over it is the lowest eigenpair of a Hermitian
     (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
-    no restart's value increases.  Sweeps stop after ``max_iters`` or once
-    no restart's value dropped by more than ``_SWEEP_DROP * max(1, |value|)``.
+    no restart's value increases.  A restart has settled once a sweep lowers
+    its value by no more than ``_SWEEP_DROP * max(1, |value|)``.  Sweeps stop
+    after ``max_iters``, once every restart has settled, or, when
+    ``stop_below`` is given, once the best restart has settled below it.
 
-    Returns ``(value, x, y)`` of the best restart; x has orthonormal columns
-    and ||y|| = 1, so ||x @ y|| = 1.
+    The early stop cannot change a comparison of the value with
+    ``stop_below``: since no value increases, the full run would end below it
+    too.  Without it firing, the run is the one without ``stop_below``, sweep
+    for sweep.  Waiting for the best restart to settle, rather than stopping
+    at the first value below the threshold, returns a converged point.  A
+    caller that only asks whether the minimum is below a threshold passes
+    that threshold.
+
+    Returns ``(value, x, y, sweeps)`` of the best restart; x has orthonormal
+    columns and ||y|| = 1, so ||x @ y|| = 1.
     """
     c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
     rng = np.random.default_rng(seed)
     x = random_complex((restarts, n, k), rng)
     y = random_complex((restarts, k, m), rng)
     vals = np.full(restarts, np.inf)
-    for _ in range(max_iters):
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
         prev = vals
         # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows
         q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
@@ -123,10 +135,13 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
         vals, vecs = hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
         vals = vals[:, 0]
         x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
-        if np.all(prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))):
+        settled = prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))
+        best = int(np.argmin(vals))
+        if settled.all() or (stop_below is not None and vals[best] < stop_below
+                             and settled[best]):
             break
     best = int(np.argmin(vals))
-    return float(vals[best]), x[best], y[best]
+    return float(vals[best]), x[best], y[best], sweeps
 
 
 def singular_values(m) -> np.ndarray:

@@ -332,6 +332,13 @@ def test_unknown_verdicts_report_the_closest_approach():
                   for g, _ in gens)
     assert closest >= -CFG.tol
     assert abs(verdict.diagnostics["closest_composition_eigenvalue"] - closest) <= 1e-12
+    # Phi[2,1,0] is positive with product-vector minimum 0: the Pk exit, which
+    # names no route, reports the least quadratic form the search reached
+    phi = _rotated(_ckl_choi(2.0, 1.0, 0.0), 5)
+    verdict = member(phi, normalize(parse_cone("P"), 3, 3), CFG)
+    assert verdict.status == UNKNOWN and "route" not in verdict.diagnostics
+    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+    assert -CFG.tol <= verdict.diagnostics["closest_value"] <= 1e-9
 
 
 def test_witness_search_finds_cp_witness():
@@ -391,6 +398,32 @@ def test_recheck_rejects_hull_with_an_unsound_part():
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=negative))
 
 
+def test_recheck_checks_kraus_ranks_only_below_min_dims(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # every operator of a 3 x 3 map has rank <= 3: the PPT witness of a
+    # join(CP,t(CP)) refutation carries rank_bound 3, and needs no svd
+    phi = _rotated(_ckl_choi(2.0, 1.0, 0.0), 43)
+    verdict = member(phi, normalize(parse_cone(JOIN), 3, 3), CFG)
+    assert verdict.diagnostics["route"] == "join_dual_witness"
+    calls.clear()
+    assert recheck(phi, verdict)
+    assert not calls
+    # below min(m, n) the rank is still checked
+    rng = np.random.default_rng(7)
+    op = linalg.random_complex((3, 2), rng) @ linalg.random_complex((2, 3), rng)
+    phi = ad_map(op)
+    assert not recheck(phi, cones.Verdict(MEMBER, certificate=_kraus_cert(op, 1)))
+    assert recheck(phi, cones.Verdict(MEMBER, certificate=_kraus_cert(op, 2)))
+    assert calls
+
+
 def _ckl_choi(a, b, c):
     """Choi matrix of the Cho-Kye-Lee map Phi[a,b,c](X) = D(X) - X on 3x3
     matrices, D(X) diagonal with D(X)_ii = sum_k A[i,k] x_kk for the
@@ -415,6 +448,8 @@ def _assert_conjugation_witness(phi, verdict, route, k):
     assert np.linalg.matrix_rank(cert["ops"][0], tol=1e-8) == k
     assert wit["pairing"] < -CFG.tol
     assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
+    if route in ("vector_search", "projection_search"):
+        assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
     assert recheck(phi, verdict)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapcones import linalg
+from mapcones.family import PhiLambdaSpec, build, cp_threshold, k_positivity_threshold
 from mapcones.superop import unvec, vec
 
 DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
@@ -42,7 +43,7 @@ def _loop_min(choi, m, n, k, restarts, max_iters, seed):
 @pytest.mark.parametrize("m,n", DIMS)
 def test_full_schmidt_rank_gives_lowest_eigenvalue(m, n):
     choi = linalg.random_hermitian(m * n, np.random.default_rng([m, n]))
-    val, x, y = linalg.schmidt_rank_min(choi, m, n, min(m, n), 4, 60, seed=0)
+    val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, min(m, n), 4, 60, seed=0)
     assert val == pytest.approx(np.linalg.eigvalsh(choi)[0], abs=1e-9)
     assert _quad(choi, x @ y) == pytest.approx(val, abs=1e-9)
 
@@ -56,7 +57,7 @@ def test_family_maps_reach_the_top_k_singular_values(m, n):
     choi = a * np.eye(m * n) - b * np.outer(w, w.conj())
     sv = np.linalg.svd(unvec(w, m, n), compute_uv=False)
     for k in range(1, min(m, n) + 1):
-        val, x, y = linalg.schmidt_rank_min(choi, m, n, k, 8, 60, seed=k)
+        val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, k, 8, 60, seed=k)
         assert val == pytest.approx(a - b * np.sum(sv[:k] ** 2), abs=1e-9)
         np.testing.assert_allclose(x.conj().T @ x, np.eye(k), atol=1e-12)
         assert np.linalg.norm(x @ y) == pytest.approx(1.0, abs=1e-12)
@@ -71,7 +72,7 @@ def test_batched_minimizer_matches_the_unbatched_loop(m, n):
                   + 0.05 * linalg.random_hermitian(m * n, rng))
     for i, choi in enumerate(corpus):
         for k in range(1, min(m, n)):
-            val, _, _ = linalg.schmidt_rank_min(choi, m, n, k, 4, 60, seed=i)
+            val, _, _, _ = linalg.schmidt_rank_min(choi, m, n, k, 4, 60, seed=i)
             assert val <= _loop_min(choi, m, n, k, 4, 60, seed=i) + 1e-8
 
 
@@ -82,3 +83,82 @@ def test_same_seed_gives_identical_arrays():
     assert first[0] == second[0]
     assert first[1].tobytes() == second[1].tobytes()
     assert first[2].tobytes() == second[2].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The early stop below a threshold (stop_below)
+# ---------------------------------------------------------------------------
+
+TOL = 1e-9
+
+
+def _rotated_ckl(a, b, c, seed):
+    """Choi matrix of the Cho-Kye-Lee map Phi[a,b,c](X) = D(X) - X on 3x3
+    matrices, D(X)_ii = sum_k A[i,k] x_kk for the circulant A of (a, b, c),
+    under Haar local unitaries."""
+    circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    c4 = np.zeros((3, 3, 3, 3), dtype=complex)
+    for i in range(3):
+        c4[i, :, i, :] += np.diag(circ[:, i])
+        for j in range(3):
+            c4[i, i, j, j] -= 1.0
+    rng = np.random.default_rng(seed)
+    g = np.kron(linalg.random_unitary(3, rng).T, linalg.random_unitary(3, rng))
+    return g @ c4.reshape(9, 9) @ g.conj().T
+
+
+def _both_runs(choi, m, n, k, seed):
+    full = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed)
+    early = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed,
+                                    stop_below=-TOL)
+    return full, early
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stop_below_ends_early_on_settled_refutations(seed):
+    # Phi[2,0.8,0] is not positive (a + b + c < 3), and a random HP map is
+    # far from 2-positive: both minima lie far below -tol
+    rng = np.random.default_rng([seed, 3])
+    cases = [(_rotated_ckl(2.0, 0.8, 0.0, seed), 3, 3, 1),
+             (linalg.random_hermitian(16, rng), 4, 4, 2)]
+    for choi, m, n, k in cases:
+        full, early = _both_runs(choi, m, n, k, seed)
+        assert early[0] < -TOL
+        assert early[3] < full[3]
+        assert early[0] == pytest.approx(full[0], abs=1e-9)
+        assert _quad(choi, early[1] @ early[2]) == pytest.approx(early[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_stop_below_leaves_runs_that_never_reach_it_unchanged(seed):
+    # Phi[2,1,0] is positive with product-vector minimum 0, and Tr - lam Ad_V
+    # between its CP and 2-positivity thresholds is 2-positive, not CP
+    v = linalg.random_complex((4, 4), np.random.default_rng([seed, 4]))
+    lam = (cp_threshold(v) + k_positivity_threshold(v, 2)) / 2
+    cases = [(_rotated_ckl(2.0, 1.0, 0.0, seed), 3, 3, 1),
+             (build(PhiLambdaSpec(v, lam)).choi, 4, 4, 2)]
+    for choi, m, n, k in cases:
+        full, early = _both_runs(choi, m, n, k, seed)
+        assert full[0] >= -TOL
+        assert early[0] == full[0] and early[3] == full[3]
+        assert early[1].tobytes() == full[1].tobytes()
+        assert early[2].tobytes() == full[2].tobytes()
+
+
+def test_stop_below_keeps_every_decision_on_a_seeded_corpus():
+    # HP maps whose lowest Choi eigenvalue is moved a random part of the way
+    # to zero, so the Schmidt-rank-k minimum lands on either side of -tol
+    rng = np.random.default_rng(11)
+    dims = [(3, 3), (3, 4), (4, 4)]
+    decisions = []
+    for i in range(40):
+        m, n = dims[i % 3]
+        h = linalg.random_hermitian(m * n, rng)
+        choi = h - rng.uniform(0.0, 1.0) * np.linalg.eigvalsh(h)[0] * np.eye(m * n)
+        for k in (1, 2):
+            full, early = _both_runs(choi, m, n, k, i)
+            assert (early[0] < -TOL) == (full[0] < -TOL)
+            assert early[3] <= full[3]
+            decisions.append(full[0] < -TOL)
+    # the corpus has maps on both sides
+    assert 0 < sum(decisions) < len(decisions)
