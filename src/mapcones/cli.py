@@ -283,14 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mapcones",
                                      description="Cones of positive maps: Choi "
                                                  "transforms, duality, membership.")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    tol_help = ("decision tolerance, relative to the largest Choi entry (verify: the "
+                "absolute tolerance of its checks); default 1e-9")
+    parser.add_argument("--tol", type=float, default=1e-9, help=tol_help)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=tol_help)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)

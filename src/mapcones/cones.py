@@ -18,9 +18,11 @@ rank V <= k whose pairing with the map is negative.  V is the top-k singular
 truncation of unvec(w) for a family-pattern map, the lowest Choi eigenvector
 at k = min(m, n), and otherwise the minimizer of the Choi quadratic form over
 vectors of Schmidt rank <= k, found by batched alternating minimization.  Only
-the comparison of that minimum with -tol decides, so the minimizer stops as
-soon as its best restart has settled below -tol; a minimum that never gets
-there runs every sweep, as it would without the stop.
+the comparison of that minimum with minus the tolerance decides, so the
+minimizer stops as soon as its best restart has settled below it; a minimum
+that never gets there runs every sweep, as it would without the stop.
+Every tolerance is ``linalg.tolerance``, relative to the largest Choi entry,
+so a verdict is the same for every positive multiple of a map.
 k-superpositivity is certified by explicit Kraus decompositions.
 Decomposability, membership in join(CP, t(CP)), is a two-cone feasibility
 problem decided by alternating PSD projections: a certificate splits the Choi
@@ -40,7 +42,7 @@ import numpy as np
 from . import linalg
 from .linalg import DimensionError
 from . import superop
-from .superop import SuperOperator, ad_map, from_kraus, map_inner, unvec
+from .superop import SuperOperator, ad_map, from_kraus, unvec
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +271,16 @@ def includes(outer: ConeExpr, inner: ConeExpr) -> bool:
 class MemberConfig:
     """Settings of the membership and witness searches.
 
-    ``tol`` is the decision tolerance, ``samples`` bounds the sampled
-    generators, ``seed`` fixes every random start, and ``max_iters`` is the
-    upper bound on the sweeps of both iterative searches: the Schmidt-rank-k
-    minimization (it stops earlier once every restart has settled, or once
-    its best restart has settled below -tol) and the alternating projections
-    that decide join(CP, t(CP)) (they stop at the first certificate or
-    witness).
+    ``tol`` is the decision tolerance relative to the largest Choi entry:
+    a verdict on a map with Choi matrix C compares with
+    ``linalg.tolerance(C, tol) = tol * max|C_ij|``, so it does not change
+    when the map is scaled by a positive number.  ``samples`` bounds the
+    sampled generators, ``seed`` fixes every random start, and ``max_iters``
+    is the upper bound on the sweeps of both iterative searches: the
+    Schmidt-rank-k minimization (it stops earlier once every restart has
+    settled, or once its best restart has settled below minus the
+    tolerance) and the alternating projections that decide join(CP, t(CP))
+    (they stop at the first certificate or witness).
     """
 
     tol: float = 1e-9
@@ -302,37 +307,39 @@ class Verdict:
 
 
 def pair(psi: SuperOperator, phi: SuperOperator, tol: float = 1e-9) -> float:
-    """Real pairing of two Hermiticity-preserving maps."""
-    for name, x in (("first", psi), ("second", phi)):
-        if not x.is_hermiticity_preserving(tol):
-            raise ValueError(f"{name} argument is not Hermiticity-preserving within {tol}")
-    val = map_inner(psi, phi)
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > tol * scale:
-        raise ArithmeticError(f"pairing has imaginary residue {val.imag}")
-    return float(val.real)
+    """Real pairing <psi, phi> of two Hermiticity-preserving maps of equal dims.
+
+    The checks are those of :func:`_pair_stack`, with ``tol`` relative to the
+    largest Choi entries, so they pass or fail alike at every scale of psi
+    and phi.  Raises DimensionError when the dims differ, ValueError when an
+    argument is not Hermiticity-preserving and ArithmeticError on an
+    imaginary residue.
+    """
+    if psi.dims != phi.dims:
+        raise DimensionError(f"pair needs equal dims, got {psi.dims} and {phi.dims}")
+    return float(_pair_stack(psi.choi[None], phi, tol)[0])
 
 
 # ---------------------------------------------------------------------------
 # Family-pattern recognition (Choi = a*I - b |w><w|)
 # ---------------------------------------------------------------------------
 
-def _spectral_family_pattern(phi: SuperOperator, vals, vecs, tol: float):
+def _spectral_family_pattern(phi: SuperOperator, vals, vecs, eps: float):
     """Detect Choi = a*I - b*|w><w| with b > 0 from the Choi eigenpairs
-    ``(vals, vecs)``; returns (a, b, w) or None."""
+    ``(vals, vecs)``, within the tolerance ``eps`` of the Choi matrix;
+    returns (a, b, w) or None."""
     d = phi.m * phi.n
     if d < 2:
         return None
     a = float(np.median(vals[1:]))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vals[1:] - a)) > 100 * tol * scale:
+    if np.max(np.abs(vals[1:] - a)) > eps:
         return None
     b = a - float(vals[0])
-    if b <= 100 * tol * scale:
+    if b <= eps:
         return None
     w = vecs[:, 0]
     residual = np.max(np.abs(phi.choi - (a * np.eye(d) - b * np.outer(w, w.conj()))))
-    if residual > 100 * tol * scale:
+    if residual > eps:
         return None
     return a, b, w
 
@@ -449,7 +456,7 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
             others.append(verdict.certificate if verdict.status == MEMBER else None)
         kept = chois[[o is not None for o in others]]
     else:
-        if linalg.hermiticity_defect(chois) > cfg.tol:
+        if not linalg.is_hermitian(chois, cfg.tol):
             raise ValueError("membership is defined for Hermiticity-preserving maps only")
         if twirled:
             # phi is in t(CP) iff phi . t is CP.  The twirl only permutes
@@ -457,12 +464,13 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
             # and the untwirled stack need not stay alive meanwhile.
             chois = superop.twirl_stack(chois, m, n)
         floors = linalg.hermitian_part_eigvals(chois)[:, 0]
+        psd = floors >= -linalg.tolerance(chois, cfg.tol)
         others = []
-        for val in floors:
+        for val, ok in zip(floors, psd):
             cert = {"type": "psd_floor", "min_eigenvalue": float(val)}
-            others.append(None if val < -cfg.tol else
+            others.append(None if not ok else
                           {"type": "twirled", "inner": cert} if twirled else cert)
-        kept = chois[floors >= -cfg.tol]
+        kept = chois[psd]
         if twirled:
             kept = superop.twirl_stack(kept, m, n)
     return kept, [{"type": "meet", "part": c, "via": "verified", "other_cert": o}
@@ -486,18 +494,26 @@ def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[
     return [g for g, _ in _sample_with_certs(expr, m, n, count, seed)]
 
 
+def _pair_tolerance(chois, phi: SuperOperator, tol: float):
+    """tol * max|C_psi| * max|C_phi| for psi a Choi matrix or each map of a
+    stack: the tolerance of phi for psi scaled to max|C_psi| = 1.  A pairing
+    <psi, phi> is negative below minus this, and its imaginary residue may
+    not exceed it."""
+    return linalg.tolerance(chois, tol) * linalg.tolerance(phi.choi, 1.0)
+
+
 def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
     """:func:`pair` of every map of a Choi stack with phi, in one contraction.
 
-    Makes every check :func:`pair` makes: both arguments Hermiticity-preserving
-    within tol, and no pairing with an imaginary part above tol * max(1, |value|).
+    Both arguments must be Hermiticity-preserving within ``linalg.tolerance``,
+    and no pairing may have an imaginary part above :func:`_pair_tolerance`.
     """
-    if linalg.hermiticity_defect(chois) > tol:
-        raise ValueError(f"first argument is not Hermiticity-preserving within {tol}")
+    if not linalg.is_hermitian(chois, tol):
+        raise ValueError(f"first argument is not Hermiticity-preserving within {tol} * max|C|")
     if not phi.is_hermiticity_preserving(tol):
-        raise ValueError(f"second argument is not Hermiticity-preserving within {tol}")
+        raise ValueError(f"second argument is not Hermiticity-preserving within {tol} * max|C|")
     vals = np.einsum("zij,ij->z", chois, phi.choi.conj())
-    residue = np.abs(vals.imag) > tol * np.maximum(1.0, np.abs(vals))
+    residue = np.abs(vals.imag) > _pair_tolerance(chois, phi, tol)
     if residue.any():
         raise ArithmeticError(f"pairing has imaginary residue {vals.imag[residue][0]}")
     return vals.real
@@ -511,27 +527,29 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     """A generator Ad_V of SPk(k), the dual of Pk(k), that refutes phi.
 
     Returns ``(found, value, sweeps)``: found is ``(Ad_V, <Ad_V, phi>,
-    certificate)`` when the pairing ``value`` is below -tol and None
-    otherwise.  V is the given n x m operator; without one it is the lowest
-    Choi eigenvector at k = min(m, n), and otherwise the minimizer of the
-    Choi quadratic form over unit vectors of Schmidt rank <= k, found in
+    certificate)`` when the pairing ``value`` is below -eps, eps the
+    ``linalg.tolerance`` of the Choi matrix, and None otherwise.  V is the
+    given n x m operator, of unit norm; without one it is the lowest Choi
+    eigenvector at k = min(m, n), and otherwise the minimizer of the Choi
+    quadratic form over unit vectors of Schmidt rank <= k, found in
     ``sweeps`` sweeps (0 when no search ran).  The minimizer stops once its
-    best restart has settled below -tol, the only comparison made here.
+    best restart has settled below -eps, the only comparison made here.
     """
     m, n = phi.dims
+    eps = linalg.tolerance(phi.choi, cfg.tol)
     sweeps = 0
     if v is None and k == min(m, n):
         v = unvec(linalg.hermitian_part_eigen(phi.choi)[1][:, 0], m, n)
     elif v is None:
         _, x, y, sweeps = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
                                                   cfg.max_iters, cfg.seed + 1,
-                                                  stop_below=-cfg.tol)
+                                                  stop_below=-eps)
         v = x @ y
     # <Ad_V, phi> is the Choi quadratic form at vec(V)
     w = superop.vec(v)
     value = float(np.real(np.vdot(w, phi.choi @ w)))
     found = None
-    if value < -cfg.tol:
+    if value < -eps:
         found = ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
     return found, value, sweeps
 
@@ -579,7 +597,8 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
       its projection z is G(X_-), X_- the negative part of X = G(C - y).  Its
       partial transpose X_- is PSD; lifted by delta * I, delta =
       max(0, -lambda_min), and scaled to unit trace it is a PPT rho, a
-      generator of the dual cone meet(CP, t(CP)).  <rho, C> < -tol refutes phi.
+      generator of the dual cone meet(CP, t(CP)).  <rho, C> below
+      -``linalg.tolerance(C)`` refutes phi.
 
     Returns ``(certificate, found, sweeps, closest)``: the hull certificate
     or the refuting ``(psi, pairing, certificate)`` (at most one of them, both
@@ -589,6 +608,7 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
     m, n = phi.dims
     kmax = min(m, n)
     c = phi.choi
+    eps = linalg.tolerance(c, cfg.tol)
     floor = 1e-6 * float(np.max(np.abs(c)))
     # (C - A)^G as clipped eigenpairs; zero at the start, A = C
     a, rest_vals, rest_vecs = c, np.zeros(m * n), np.eye(m * n)
@@ -614,7 +634,7 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
             # <rho, C> as pair(psi, phi) computes it
             value = float(np.real(np.vdot(c, rho)))
             closest = min(closest, value)
-            if value < -cfg.tol:
+            if value < -eps:
                 psi = SuperOperator(m, n, rho)
                 cert = {"type": "meet",
                         "part": {"type": "kraus",
@@ -634,11 +654,12 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
 # Membership
 # ---------------------------------------------------------------------------
 
-def _cp_verdict(vals, vecs, cfg: MemberConfig) -> Verdict:
-    """The CP verdict read off the Choi eigenpairs ``(vals, vecs)``."""
+def _cp_verdict(vals, vecs, eps: float, cfg: MemberConfig) -> Verdict:
+    """The CP verdict read off the Choi eigenpairs ``(vals, vecs)``: the least
+    eigenvalue against the tolerance ``eps`` of the Choi matrix."""
     val, vec_neg = float(vals[0]), vecs[:, 0]
     diag = {"min_eigenvalue": val, "cfg": cfg.as_dict()}
-    if val >= -cfg.tol:
+    if val >= -eps:
         return Verdict(MEMBER, certificate={"type": "psd_floor", "min_eigenvalue": val},
                        diagnostics=diag)
     return Verdict(NOT_MEMBER,
@@ -647,33 +668,35 @@ def _cp_verdict(vals, vecs, cfg: MemberConfig) -> Verdict:
                    diagnostics=diag)
 
 
-def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, tol: float):
+def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, eps: float):
     """The Kraus operators sqrt(lambda) unvec(v) of the Choi eigenpairs
-    ``(vals, vecs)`` when all their ranks are <= k, else None."""
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if vals[0] < -tol * scale:
+    ``(vals, vecs)``, eigenvalues within the tolerance ``eps`` of the Choi
+    matrix taken as zero, when all their ranks are <= k, else None."""
+    if vals[0] < -eps:
         return None
-    ops = _psd_kraus(np.where(vals > tol * scale, vals, 0.0), vecs, phi.m, phi.n)
-    for op in ops:
-        sv = linalg.singular_values(op)
-        if int(np.sum(sv > 1e-8 * max(1.0, sv[0]))) > k:
-            return None
+    ops = _psd_kraus(np.where(vals > eps, vals, 0.0), vecs, phi.m, phi.n)
+    if any(linalg.numerical_rank(op) > k for op in ops):
+        return None
     return ops
 
 
 def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig()) -> Verdict:
     """Decide membership of a Hermiticity-preserving map in a normalized cone.
 
-    A CP refutation is the negative Choi eigenvector.  A Pk(k) refutation,
-    and an SPk(k) refutation by a negative Choi eigenvalue, is a
-    ``dual_element`` witness: a conjugation Ad_V with rank V <= k (rank V <=
-    min(m, n) for SPk) whose ``pairing`` with phi is below -tol, the same one
-    :func:`witness_search` returns.
+    Every comparison is made against eps = ``linalg.tolerance(C, cfg.tol)``,
+    C the Choi matrix of phi, so the verdict is the same for every positive
+    multiple of phi: a value "below -eps" is an eigenvalue, a unit-vector
+    quadratic form or a pairing with a normalized dual element that lies
+    below -eps.  A CP refutation is the negative Choi eigenvector.  A Pk(k)
+    refutation, and an SPk(k) refutation by a negative Choi eigenvalue, is a
+    ``dual_element`` witness: a conjugation Ad_V, ||V|| = 1, with rank V <= k
+    (rank V <= min(m, n) for SPk) whose ``pairing`` with phi is below -eps,
+    the same one :func:`witness_search` returns.
 
     join(CP, t(CP)), in either order, is decided by :func:`_decomposition`
     once neither child certifies phi: a ``hull`` certificate of a CP and a
     twirled CP part (route ``join``), or a ``dual_element`` witness, a PPT
-    map of unit trace whose pairing with phi is below -tol (route
+    map of unit trace whose pairing with phi is below -eps (route
     ``join_dual_witness``).  Any other join is refuted by sampled generators
     of its dual cone.
 
@@ -687,13 +710,14 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     * ``join``: ``closest_pairing``, the least pairing of phi with the dual
       elements tried, the PPT maps of the sweeps for join(CP, t(CP)) and
-      the sampled generators otherwise (a witness needs one below -tol);
+      the sampled generators otherwise (a witness needs one below -eps,
+      scaled by max|C_psi| for a sampled psi);
     * ``Pk``: ``closest_value``, the least Choi quadratic form the
       Schmidt-rank-k search reached, the pairing of phi with its Ad_V (a
-      witness needs one below -tol);
+      witness needs one below -eps);
     * ``SPk``: ``closest_composition_eigenvalue``, the least Choi eigenvalue
       of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
-      Pk (a witness needs one below -tol).
+      Pk (a witness needs one below the tolerance of that composition).
     """
     if cfg.samples < 1:
         raise ValueError("cfg.samples must be >= 1")
@@ -701,28 +725,31 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
     m, n = phi.dims
     kmax = min(m, n)
+    # the twirls permute Choi entries, so every route has this tolerance
+    eps = linalg.tolerance(phi.choi, cfg.tol)
 
     if isinstance(expr, Base):
         # one Choi spectrum serves every base-cone route
         vals, vecs = linalg.hermitian_part_eigen(phi.choi)
 
     if isinstance(expr, Base) and expr.kind == "CP":
-        return _cp_verdict(vals, vecs, cfg)
+        return _cp_verdict(vals, vecs, eps, cfg)
 
     if isinstance(expr, Base) and expr.kind == "Pk":
         k = expr.k
-        cp = _cp_verdict(vals, vecs, cfg)
+        cp = _cp_verdict(vals, vecs, eps, cfg)
         if cp.status == MEMBER:
             cp.diagnostics["route"] = "cp_subset"
             return cp
-        pattern = _spectral_family_pattern(phi, vals, vecs, cfg.tol)
-        if pattern is not None and pattern[0] > cfg.tol:
+        pattern = _spectral_family_pattern(phi, vals, vecs, eps)
+        if pattern is not None and pattern[0] > eps:
             a, b, w = pattern
             fan = _family_kfan(w, m, n, k)
             lhs = (b / a) * fan
             # the pairing a - b * fan_k(w) is the one the refuters compare
-            # with -tol, so an accepted map has no refutation
-            if lhs <= 1.0 + cfg.tol and a - b * fan >= -cfg.tol:
+            # with -eps, so an accepted map has no refutation; the ratio is
+            # dimensionless and compares with tol itself
+            if lhs <= 1.0 + cfg.tol and a - b * fan >= -eps:
                 return Verdict(MEMBER,
                                certificate={"type": "family", "a": a, "b": b, "w": w,
                                             "k": k, "threshold_lhs": lhs},
@@ -737,7 +764,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                 return _dual_verdict(found, "family_projection", cfg)
         if k == 1:
             # completely copositive maps are positive: Phi . t in CP certifies
-            co = _cp_verdict(*linalg.hermitian_part_eigen(phi.right_transpose().choi), cfg)
+            co = _cp_verdict(*linalg.hermitian_part_eigen(phi.right_transpose().choi), eps, cfg)
             if co.status == MEMBER:
                 return Verdict(MEMBER,
                                certificate={"type": "twirled",
@@ -759,7 +786,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
         if found is not None:
             return _dual_verdict(found, "not_cp", cfg)
-        ops = _kraus_from_eigen(phi, k, vals, vecs, cfg.tol)
+        ops = _kraus_from_eigen(phi, k, vals, vecs, eps)
         if ops is not None:
             return Verdict(MEMBER,
                            certificate={"type": "kraus", "ops": ops, "rank_bound": k},
@@ -768,8 +795,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         # phi is in SPk iff psi^dagger . phi is CP for every psi in Pk
         chois, certs = _sample_stack(Base("Pk", k), m, n, min(cfg.samples, 100),
                                      np.random.default_rng(cfg.seed + 3))
-        floors = linalg.hermitian_part_eigvals(superop.adjoint_compositions(chois, phi))[:, 0]
-        hits = np.flatnonzero(floors < -cfg.tol)
+        comps = superop.adjoint_compositions(chois, phi)
+        floors = linalg.hermitian_part_eigvals(comps)[:, 0]
+        hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
         if hits.size:
             first = hits[0]
             return Verdict(NOT_MEMBER,
@@ -856,7 +884,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 # ---------------------------------------------------------------------------
 
 def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig()):
-    """Search the dual cone for Psi with pair(Psi, phi) < -tol.
+    """Search the dual cone for Psi with pair(Psi, phi) below minus the
+    tolerance :func:`member` refutes with.
 
     Returns ``(psi, value, certificate)`` with the certificate proving
     membership of psi in dual(expr), or None when no witness is found.  A
@@ -883,8 +912,9 @@ def _sampled_witness(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     """Pair ``cfg.samples`` sampled generators of the cone d with phi.
 
     Returns ``(found, closest)``: found is ``(psi, value, certificate)`` for
-    the first generator of least pairing when that pairing is below -tol and
-    None otherwise; closest is the least pairing.
+    the first generator of least pairing when that pairing is below minus
+    its :func:`_pair_tolerance` and None otherwise; closest is the least
+    pairing.
     """
     m, n = phi.dims
     chois, certs = _sample_stack(d, m, n, cfg.samples, np.random.default_rng(cfg.seed))
@@ -892,7 +922,7 @@ def _sampled_witness(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     best = int(np.argmin(vals))
     closest = float(vals[best])
     found = None
-    if closest < -cfg.tol:
+    if closest < -_pair_tolerance(chois[best], phi, cfg.tol):
         found = (SuperOperator(m, n, chois[best]), closest, certs[best])
     return found, closest
 
@@ -919,7 +949,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
         statuses[verdict.status] += 1
         if verdict.status == NOT_MEMBER:
             violations.append(i)
-    dual_min = np.inf
+    dual_min, dual_ok = np.inf, True
     dual = dual_expr(expr)
     dual_gens = sample_generators(dual, m, n, min(cfg.samples, 50), cfg.seed + 1)
     cone_chois, _ = _sample_stack(expr, m, n, min(cfg.samples, 10),
@@ -928,7 +958,9 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
         ups = superop.random_cp_map(n, n, rng, kraus_count)
         omg = superop.random_cp_map(m, m, rng, kraus_count)
         conj = ups.compose(psi).compose(omg)
-        dual_min = min(dual_min, float(_pair_stack(cone_chois, conj, cfg.tol).min()))
+        vals = _pair_stack(cone_chois, conj, cfg.tol)
+        dual_min = min(dual_min, float(vals.min()))
+        dual_ok = dual_ok and bool(np.all(vals >= -_pair_tolerance(cone_chois, conj, cfg.tol)))
     return {
         "cone": format_cone(expr),
         "m": m,
@@ -937,7 +969,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
         "member_statuses": statuses,
         "member_violations": violations,
         "dual_min_pairing": float(dual_min),
-        "pass": not violations and dual_min >= -cfg.tol,
+        "pass": not violations and dual_ok,
         "cfg": cfg.as_dict(),
     }
 
@@ -966,29 +998,25 @@ def _rebuild(cert: dict, m: int, n: int) -> SuperOperator:
 
 
 def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
+    eps = linalg.tolerance(phi.choi, tol)
     kind = cert["type"]
     if kind == "psd_floor":
         vals, _ = linalg.hermitian_part_eigen(phi.choi)
-        return bool(vals[0] >= -tol * max(1.0, abs(vals[-1])))
+        return bool(vals[0] >= -eps)
     if kind == "kraus":
-        rebuilt = from_kraus(cert["ops"])
-        if not phi.isclose(rebuilt, 1e-8 * max(1.0, float(np.max(np.abs(phi.choi))))):
+        if not phi.isclose(from_kraus(cert["ops"]), eps):
             return False
         if cert["rank_bound"] >= min(phi.dims):
             return True  # no n x m operator has a higher rank
-        for op in cert["ops"]:
-            sv = linalg.singular_values(op)
-            if sv[0] > 0 and int(np.sum(sv > 1e-8 * sv[0])) > cert["rank_bound"]:
-                return False
-        return True
+        return all(linalg.numerical_rank(op) <= cert["rank_bound"] for op in cert["ops"])
     if kind == "family":
         d = phi.m * phi.n
         a, b, w = cert["a"], cert["b"], cert["w"]
         rebuilt = a * np.eye(d) - b * np.outer(w, w.conj())
-        if np.max(np.abs(phi.choi - rebuilt)) > 1e-7 * max(1.0, abs(a)):
+        if np.max(np.abs(phi.choi - rebuilt)) > eps:
             return False
         if "k" in cert and a > 0:
-            return (b / a) * _family_kfan(w, phi.m, phi.n, cert["k"]) <= 1.0 + 1e-7
+            return (b / a) * _family_kfan(w, phi.m, phi.n, cert["k"]) <= 1.0 + tol
         return True
     if kind == "twirled":
         return _recheck_certificate(phi.right_transpose(), cert["inner"], tol)
@@ -999,8 +1027,7 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
         return _recheck_certificate(phi, cert["inner"], tol)
     if kind == "hull":
         m, n = phi.dims
-        if min(cert["weights"]) < 0 or not phi.isclose(
-                _rebuild(cert, m, n), 1e-8 * max(1.0, float(np.max(np.abs(phi.choi))))):
+        if min(cert["weights"]) < 0 or not phi.isclose(_rebuild(cert, m, n), eps):
             return False
         return all(_recheck_certificate(_rebuild(part, m, n), part, tol)
                    for part in cert["parts"])
@@ -1013,20 +1040,21 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
 
 
 def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
+    # a witness value must lie below half the tolerance member refuted with
     kind = wit["type"]
     if kind == "negative_eigenvector":
         x = wit["vector"]
         quad = float(np.real(np.vdot(x, phi.choi @ x))) / float(np.real(np.vdot(x, x)))
-        return quad < -tol / 2
+        return quad < -linalg.tolerance(phi.choi, tol) / 2
     if kind == "dual_element":
         psi = wit["psi"]
         if not _recheck_certificate(psi, wit["psi_certificate"], tol):
             return False
         if wit.get("pairing") is not None:
-            return pair(psi, phi, max(tol, 1e-8)) < -tol / 2
+            return pair(psi, phi, tol) < -_pair_tolerance(psi.choi, phi, tol) / 2
         comp = psi.adjoint().compose(phi)
         vals, _ = linalg.hermitian_part_eigen(comp.choi)
-        return bool(vals[0] < -tol / 2)
+        return bool(vals[0] < -linalg.tolerance(comp.choi, tol) / 2)
     if kind == "twirled":
         return _recheck_witness(phi.right_transpose(), wit["inner"], tol)
     if kind == "child_witness":
@@ -1035,7 +1063,15 @@ def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
 
 
 def recheck(phi: SuperOperator, verdict: Verdict, tol: float = 1e-9) -> bool:
-    """Re-verify a verdict's certificate or witness from scratch."""
+    """Re-verify a verdict's certificate or witness from scratch.
+
+    ``tol`` is relative, as in :func:`member`: an eigenvalue floor or a
+    rebuilt certificate (``kraus``, ``family``, ``hull``) matches within
+    ``linalg.tolerance`` of the Choi matrix, and a dimensionless ratio such
+    as the ``family`` threshold within tol itself.  A witness value must lie
+    below half the tolerance :func:`member` refutes with, the only slack
+    left.  No check depends on the scale of phi.
+    """
     if verdict.status == MEMBER:
         return verdict.certificate is not None and _recheck_certificate(
             phi, verdict.certificate, tol)

@@ -74,22 +74,25 @@ def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, seed, tol: float = 1e-
 
     Phi_lambda is k-positive iff its Choi quadratic form is nonnegative on
     vectors of Schmidt rank <= k; :func:`linalg.schmidt_rank_min` minimizes
-    it there, stopping once its best restart has settled below ``-tol``, a
-    stop that cannot change the comparison with ``-tol`` made here.  A
-    minimum below ``-tol`` at V = X Y gives the rank-k projection
-    E = X X^dagger onto a space containing the range of V, and the witness
-    stands only if Ad_E . Phi_lambda fails the CP eigenvalue test.  Returns
+    it there, stopping once its best restart has settled below -eps, eps the
+    ``linalg.tolerance`` of the Choi matrix, a stop that cannot change the
+    comparison with -eps made here.  A minimum below -eps at V = X Y gives
+    the rank-k projection E = X X^dagger onto a space containing the range
+    of V, and the witness stands only if Ad_E . Phi_lambda fails the CP
+    eigenvalue test within its own tolerance.  Returns
     ``(is_k_positive, witness_projection_or_None)``.
     """
     m, n = spec.dims
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must satisfy 1 <= k <= {min(m, n)}, got {k}")
     phi = build(spec)
+    eps = linalg.tolerance(phi.choi, tol)
     quad, x, _, _ = linalg.schmidt_rank_min(phi.choi, m, n, k,
                                             restarts=linalg.SCHMIDT_RESTARTS, max_iters=60,
-                                            seed=seed, stop_below=-tol)
-    if quad < -tol:
+                                            seed=seed, stop_below=-eps)
+    if quad < -eps:
         e = x @ x.conj().T
-        if linalg.hermitian_part_eigvals(ad_map(e).compose(phi).choi)[0] < -tol:
+        comp = ad_map(e).compose(phi).choi
+        if linalg.hermitian_part_eigvals(comp)[0] < -linalg.tolerance(comp, tol):
             return False, e
     return True, None

@@ -34,31 +34,59 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(b, a))
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entry of |M - M^dagger|, over a whole stack when M has leading
-    batch axes."""
+def hermiticity_defect(m):
+    """Largest entry of |M - M^dagger|: a float for one matrix, and an array
+    of them over the leading axes of a stack."""
     m = np.asarray(m, dtype=np.complex128)
-    if not m.size:
-        return 0.0
     # M^dagger - M rather than M - M^dagger lets numpy subtract in place, and
     # |.| goes back into the same array: one stack-sized temporary in all
     d = np.swapaxes(m, -1, -2).conj() - m
-    return float(np.abs(d, out=d).real.max())
+    defect = np.abs(d, out=d).real.max(axis=(-2, -1), initial=0.0)
+    return float(defect) if m.ndim == 2 else defect
+
+
+def tolerance(c, tol: float = DEFAULT_TOL):
+    """The decision tolerance for a matrix C: ``tol * max|C_ij|``.
+
+    The one tolerance rule of the package.  Cones are closed under positive
+    scaling, so a verdict on C must not depend on its scale: every quantity
+    that scales with C (an eigenvalue, a unit-vector quadratic form, a
+    Hermiticity defect, the distance to a rebuilt certificate) is compared
+    with this, and ``tol`` reads as relative to the largest entry.  For a
+    stack it is taken per matrix over the last two axes; the zero matrix
+    gets 0.
+    """
+    bound = tol * np.abs(np.asarray(c)).max(axis=(-2, -1), initial=0.0)
+    return float(bound) if np.ndim(c) == 2 else bound
+
+
+def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    """Whether every matrix of M (one matrix, or a stack over leading axes)
+    has a :func:`hermiticity_defect` within its :func:`tolerance`."""
+    return bool(np.all(hermiticity_defect(m) <= tolerance(m, tol)))
+
+
+def numerical_rank(op) -> int:
+    """Rank of an operator: its singular values above ``1e-8`` times the
+    largest one (0 for the zero operator)."""
+    sv = singular_values(op)
+    return int(np.sum(sv > 1e-8 * sv[0]))
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_TOL):
     """Eigendecomposition of a self-adjoint matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  Inputs farther than ``tol`` from
-    self-adjointness are rejected.
+    eigenvectors as orthonormal columns.  Inputs farther than
+    :func:`tolerance` from self-adjointness are rejected.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"hermitian_eigen needs a square matrix, got {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not self-adjoint within {tol} (defect {defect:.3e})")
+    if defect > tolerance(m, tol):
+        raise ValueError(f"matrix is not self-adjoint within {tol} * max|M| "
+                         f"(defect {defect:.3e})")
     return hermitian_part_eigen(m)
 
 
@@ -84,7 +112,7 @@ def _hermitian_part(m):
 
 
 # A restart has converged once a sweep lowers its value by no more than this,
-# relative to max(1, |value|).
+# relative to max(max|C|, |value|) for the Choi matrix C.
 _SWEEP_DROP = 1e-12
 # Restarts of the Schmidt-rank-k searches built on schmidt_rank_min.
 SCHMIDT_RESTARTS = 8
@@ -101,7 +129,8 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     the exact minimum over it is the lowest eigenpair of a Hermitian
     (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
     no restart's value increases.  A restart has settled once a sweep lowers
-    its value by no more than ``_SWEEP_DROP * max(1, |value|)``.  Sweeps stop
+    its value by no more than ``_SWEEP_DROP * max(max|C|, |value|)``, a test
+    that, like every other, reads the same at every scale of C.  Sweeps stop
     after ``max_iters``, once every restart has settled, or, when
     ``stop_below`` is given, once the best restart has settled below it.
 
@@ -121,6 +150,7 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     x = random_complex((restarts, n, k), rng)
     y = random_complex((restarts, k, m), rng)
     vals = np.full(restarts, np.inf)
+    scale = float(np.abs(c4).max())
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         prev = vals
@@ -135,7 +165,7 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
         vals, vecs = hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
         vals = vals[:, 0]
         x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
-        settled = prev - vals <= _SWEEP_DROP * np.maximum(1.0, np.abs(vals))
+        settled = prev - vals <= _SWEEP_DROP * np.maximum(scale, np.abs(vals))
         best = int(np.argmin(vals))
         if settled.all() or (stop_below is not None and vals[best] < stop_below
                              and settled[best]):

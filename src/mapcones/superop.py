@@ -110,7 +110,8 @@ class SuperOperator:
         return SuperOperator(self.m * k, self.n * k, c.reshape(d, d))
 
     def is_hermiticity_preserving(self, tol: float = linalg.DEFAULT_TOL) -> bool:
-        return linalg.hermiticity_defect(self.choi) <= tol
+        """Whether the Choi matrix is Hermitian within ``linalg.tolerance``."""
+        return linalg.is_hermitian(self.choi, tol)
 
     def __eq__(self, other) -> bool:
         return (

@@ -104,6 +104,7 @@ def test_from_choi_and_dims_mismatch(capsys, files, tmp_path):
 
 def test_compose_dimension_mismatch_exit_65(capsys, files):
     assert cli.main(["compose", files["id3"], files["id2"]]) == 65
+    assert cli.main(["pair", files["id3"], files["id2"]]) == 65
 
 
 def test_pair_command(capsys, files):

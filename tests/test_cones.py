@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapcones import cli, cones, linalg, superop
 from mapcones.cones import (
@@ -446,8 +448,8 @@ def _assert_conjugation_witness(phi, verdict, route, k):
     cert = wit["psi_certificate"]
     assert cert["type"] == "kraus" and cert["rank_bound"] == k and len(cert["ops"]) == 1
     assert np.linalg.matrix_rank(cert["ops"][0], tol=1e-8) == k
-    assert wit["pairing"] < -CFG.tol
-    assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
+    assert wit["pairing"] < -linalg.tolerance(phi.choi, CFG.tol)
+    assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= linalg.tolerance(phi.choi, 1e-12)
     if route in ("vector_search", "projection_search"):
         assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
     assert recheck(phi, verdict)
@@ -513,16 +515,36 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
     assert refuted == len(cases) - 2
 
 
-def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
-    # 10^3 times the family map just above its k = 2 threshold: (b/a) fan_2(w)
-    # is 1 + 5e-10, within tol of 1, but the pairing a - b fan_2(w) is -5e-7
+def _scaled(scale, phi):
+    return superop.from_choi(scale * phi.choi, *phi.dims)
+
+
+def _family_above_threshold(excess):
     v = linalg.random_complex((3, 3), np.random.default_rng(41))
-    lam = (1 + 5e-10) * k_positivity_threshold(v, 2)
-    phi = superop.from_choi(1e3 * build(PhiLambdaSpec(v, lam)).choi, 3, 3)
+    return build(PhiLambdaSpec(v, (1 + excess) * k_positivity_threshold(v, 2)))
+
+
+def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
+    # the family map just above its k = 2 threshold, at three scales.  At
+    # (1 + 5e-10) times the threshold (b/a) fan_2(w) is 1 + 5e-10 and the
+    # pairing a - b fan_2(w) is -5e-10 a, both within tol: family_pattern
+    # accepts and witness_search finds nothing.  At (1 + 5e-9) times it both
+    # refute.  The tolerance is relative, so the scale changes neither answer.
     expr = normalize(parse_cone("Pk(2)"), 3, 3)
-    found = witness_search(phi, expr, CFG)
-    assert found is not None and found[1] < -CFG.tol
-    _assert_conjugation_witness(phi, member(phi, expr, CFG), "family_projection", 2)
+    for excess in (5e-10, 5e-9):
+        for scale in (1.0, 1e3, 1e-3):
+            phi = _scaled(scale, _family_above_threshold(excess))
+            verdict = member(phi, expr, CFG)
+            found = witness_search(phi, expr, CFG)
+            if excess < CFG.tol:
+                assert verdict.status == MEMBER, scale
+                assert verdict.diagnostics["route"] == "family_pattern"
+                assert recheck(phi, verdict)
+                assert found is None, scale
+            else:
+                assert found is not None
+                assert found[1] < -linalg.tolerance(phi.choi, CFG.tol)
+                _assert_conjugation_witness(phi, verdict, "family_projection", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -637,3 +659,72 @@ def test_decomposition_output_is_byte_identical_for_a_seed():
         a, b = (json.dumps(cli._verdict_json(member(phi, expr, MemberConfig(seed=7))))
                 for _ in range(2))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# scale invariance: one tolerance rule, relative to max|C|
+# ---------------------------------------------------------------------------
+
+# each case once got a verdict that depended on the scale of the map
+SCALE_CASES = {
+    # an absolute -tol took the eigenvalue -1e-9 for zero
+    "transposition_1e-9_is_not_cp": (
+        lambda: _scaled(1e-9, transpose_map(3)), "CP", NOT_MEMBER),
+    # round-off eigenvalues of the zero block fell below an absolute -tol
+    "rank_one_cp_1e6_is_cp": (
+        lambda: _scaled(1e6, ad_map(linalg.random_complex((3, 3), np.random.default_rng(0)))),
+        "CP", MEMBER),
+    # an absolute Hermiticity tolerance rejected round-off in the Choi matrix
+    "cp_1e9_is_hermiticity_preserving": (
+        lambda: _scaled(1e9, superop.random_cp_map(3, 3, np.random.default_rng(0))),
+        "CP", MEMBER),
+    # the pairing -5e-12 of the family projection did not reach -tol
+    "family_1e-3_above_threshold_is_refuted": (
+        lambda: _scaled(1e-3, _family_above_threshold(5e-9)), "Pk(2)", NOT_MEMBER),
+    # the Kraus rank was counted with a cutoff 1e-8 max(1, s0) and rechecked
+    # with 1e-8 s0: unvec of the eigenvector, diag(1e-4, 1e-9, 0), passed as
+    # rank one and failed its own recheck
+    "ad_diag_1e-8_is_not_sp": (
+        lambda: _scaled(1e-8, ad_map(np.diag([1.0, 1e-5, 0.0]))), "SP", NOT_MEMBER),
+}
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_scale_regressions(case):
+    build_map, text, status = SCALE_CASES[case]
+    phi = build_map()
+    verdict = member(phi, normalize(parse_cone(text), 3, 3), CFG)
+    assert verdict.status == status
+    assert recheck(phi, verdict)
+
+
+SCALE_MAPS = ("hp", "cp", "rank_one", "transposition", "ckl")
+SCALE_CONES = ("CP", "P", "SP", "Pk(2)", "SPk(2)", "t(CP)", "join(CP,t(CP))")
+# positive and indecomposable, not positive, decomposable, and the boundary
+CKL_POINTS = ((2.0, 1.0, 0.0), (2.05, 1.05, 0.05), (2.0, 0.8, 0.0), (3.0, 0.0, 0.0),
+              (2.0, 0.5, 0.5))
+
+
+def _random_map(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "hp":
+        return superop.random_hp_map(3, 3, rng)
+    if kind == "cp":
+        return superop.random_cp_map(3, 3, rng)
+    if kind == "rank_one":
+        return ad_map(linalg.random_complex((3, 3), rng))
+    if kind == "transposition":
+        return transpose_map(3)
+    return _rotated(_ckl_choi(*CKL_POINTS[seed % len(CKL_POINTS)]), seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(SCALE_MAPS), text=st.sampled_from(SCALE_CONES),
+       seed=st.integers(0, 10**6), log_scale=st.floats(-9.0, 9.0))
+def test_verdicts_are_scale_invariant_and_pass_recheck(kind, text, seed, log_scale):
+    phi = _random_map(kind, seed)
+    scaled = _scaled(10.0 ** log_scale, phi)
+    expr = normalize(parse_cone(text), 3, 3)
+    verdict, scaled_verdict = member(phi, expr, CFG), member(scaled, expr, CFG)
+    assert scaled_verdict.status == verdict.status
+    assert recheck(phi, verdict) and recheck(scaled, scaled_verdict)
