@@ -71,7 +71,7 @@ def _emit(obj, args) -> None:
 
 
 def _jsonify(value):
-    """Convert verdict payloads (numpy arrays, superoperators, cone nodes) to JSON."""
+    """Convert verdict payloads (numpy arrays, superoperators) to JSON."""
     if isinstance(value, superop.SuperOperator):
         return superop.superop_to_json(value)
     if isinstance(value, np.ndarray):
@@ -86,8 +86,6 @@ def _jsonify(value):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (cones.Base, cones.Twirl, cones.Meet, cones.Join, cones.Dual)):
-        return cones.format_cone(value)
     return value
 
 

@@ -10,17 +10,20 @@ commutes) and never remain in the tree.
 
 Membership verdicts are certified: a Member carries a certificate and a
 NotMember carries a witness, each of which :func:`recheck` re-verifies from
-scratch.  Complete positivity is decided exactly via the Choi spectrum;
-k-positivity has a sound refuter plus an exact certifier for maps whose
-Choi matrix has the ``a*I - b|w><w|`` spectral pattern.  Every refutation
-of k-positivity is a generator of the dual cone SPk: a conjugation Ad_V with
-rank V <= k whose pairing with the map is negative.  V is the top-k singular
-truncation of unvec(w) for a family-pattern map, the lowest Choi eigenvector
-at k = min(m, n), and otherwise the minimizer of the Choi quadratic form over
-vectors of Schmidt rank <= k, found by batched alternating minimization.  Only
-the comparison of that minimum with minus the tolerance decides, so the
-minimizer stops as soon as its best restart has settled below it; a minimum
-that never gets there runs every sweep, as it would without the stop.
+scratch.  A map lies in a closed cone iff it pairs nonnegatively with the
+whole dual cone, so every witness is a ``dual_element``: a dual map psi, with
+its own certificate, whose pairing with the map is negative.  Complete
+positivity is decided exactly via the Choi spectrum; k-positivity has a
+sound refuter plus an exact certifier for maps whose Choi matrix has the
+``a*I - b|w><w|`` spectral pattern.  Every refutation of k-positivity or CP
+is a generator of the dual cone SPk: a conjugation Ad_V with rank V <= k.  V
+is the top-k singular truncation of unvec(w) for a family-pattern map, the
+lowest Choi eigenvector at k = min(m, n), and otherwise the minimizer of the
+Choi quadratic form over vectors of Schmidt rank <= k, found by batched
+alternating minimization.  Only the comparison of that minimum with minus
+the tolerance decides, so the minimizer stops as soon as its best restart
+has settled below it; a minimum that never gets there runs every sweep, as
+it would without the stop.
 Every tolerance is ``linalg.tolerance``, relative to the largest Choi entry,
 so a verdict is the same for every positive multiple of a map.
 k-superpositivity is certified by explicit Kraus decompositions.
@@ -440,14 +443,15 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
     """``count`` samples of ``side`` cut down to those that lie in ``other``
     too: a Choi stack with their ``meet`` certificates.
 
-    Samples need no check when ``other`` includes ``side``.  CP and t(CP)
-    certify the whole stack with one Hermiticity check and one batched
-    spectrum, the stacked form of :func:`member`'s CP verdict; any other cone
-    calls :func:`member` per sample.
+    Samples need no check when ``other`` includes ``side``, and keep their
+    own certificates.  CP and t(CP) certify the whole stack with one
+    Hermiticity check and one batched spectrum, the stacked form of
+    :func:`member`'s CP verdict; any other cone calls :func:`member` per
+    sample.
     """
     chois, certs = _sample_stack(side, m, n, count, rng)
     if includes(other, side):
-        return chois, [{"type": "meet", "part": c, "via": "inclusion"} for c in certs]
+        return chois, certs
     twirled = isinstance(other, Twirl)
     if (other.child if twirled else other) != Base("CP"):
         others = []
@@ -464,16 +468,13 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
             # and the untwirled stack need not stay alive meanwhile.
             chois = superop.twirl_stack(chois, m, n)
         floors = linalg.hermitian_part_eigvals(chois)[:, 0]
-        psd = floors >= -linalg.tolerance(chois, cfg.tol)
-        others = []
-        for val, ok in zip(floors, psd):
-            cert = {"type": "psd_floor", "min_eigenvalue": float(val)}
-            others.append(None if not ok else
-                          {"type": "twirled", "inner": cert} if twirled else cert)
-        kept = chois[psd]
+        others = [_psd_floor(val, eps)
+                  for val, eps in zip(floors, linalg.tolerance(chois, cfg.tol))]
+        kept = chois[[o is not None for o in others]]
         if twirled:
+            others = [None if o is None else {"type": "twirled", "inner": o} for o in others]
             kept = superop.twirl_stack(kept, m, n)
-    return kept, [{"type": "meet", "part": c, "via": "verified", "other_cert": o}
+    return kept, [{"type": "meet", "part": c, "other_cert": o}
                   for c, o in zip(certs, others) if o is not None]
 
 
@@ -640,7 +641,6 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
                         "part": {"type": "kraus",
                                  "ops": _psd_kraus(*linalg.hermitian_part_eigen(rho), m, n),
                                  "rank_bound": kmax},
-                        "via": "verified",
                         "other_cert": {"type": "twirled",
                                        "inner": {"type": "psd_floor",
                                                  "min_eigenvalue": (neg[-1] + delta) / scale}}}
@@ -654,18 +654,10 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = Fa
 # Membership
 # ---------------------------------------------------------------------------
 
-def _cp_verdict(vals, vecs, eps: float, cfg: MemberConfig) -> Verdict:
-    """The CP verdict read off the Choi eigenpairs ``(vals, vecs)``: the least
-    eigenvalue against the tolerance ``eps`` of the Choi matrix."""
-    val, vec_neg = float(vals[0]), vecs[:, 0]
-    diag = {"min_eigenvalue": val, "cfg": cfg.as_dict()}
-    if val >= -eps:
-        return Verdict(MEMBER, certificate={"type": "psd_floor", "min_eigenvalue": val},
-                       diagnostics=diag)
-    return Verdict(NOT_MEMBER,
-                   witness={"type": "negative_eigenvector", "eigenvalue": val,
-                            "vector": vec_neg},
-                   diagnostics=diag)
+def _psd_floor(val, eps: float) -> Optional[dict]:
+    """The ``psd_floor`` certificate of a least Choi eigenvalue ``val`` no
+    lower than minus the tolerance ``eps`` of the Choi matrix, else None."""
+    return {"type": "psd_floor", "min_eigenvalue": float(val)} if val >= -eps else None
 
 
 def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, eps: float):
@@ -687,11 +679,15 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     C the Choi matrix of phi, so the verdict is the same for every positive
     multiple of phi: a value "below -eps" is an eigenvalue, a unit-vector
     quadratic form or a pairing with a normalized dual element that lies
-    below -eps.  A CP refutation is the negative Choi eigenvector.  A Pk(k)
-    refutation, and an SPk(k) refutation by a negative Choi eigenvalue, is a
-    ``dual_element`` witness: a conjugation Ad_V, ||V|| = 1, with rank V <= k
-    (rank V <= min(m, n) for SPk) whose ``pairing`` with phi is below -eps,
-    the same one :func:`witness_search` returns.
+    below -eps.  Every witness is a ``dual_element``: a map ``psi`` with a
+    ``psi_certificate`` and a ``pairing`` with phi below -eps (or, from SPk
+    dual sampling, a ``composition_eigenvalue`` and pairing None).  A Pk(k)
+    refutation is a conjugation Ad_V, ||V|| = 1, with rank V <= k, the same
+    one :func:`witness_search` returns; CP and SPk(k) are refuted (route
+    ``not_cp``) by Ad_V for V = unvec of the lowest Choi eigenvector.  A
+    twirl returns its child's witness as psi . t, a ``twirled`` certificate
+    and the same pairing; a meet returns its child's witness unchanged, and
+    a join member that one child certifies carries that child's certificate.
 
     join(CP, t(CP)), in either order, is decided by :func:`_decomposition`
     once neither child certifies phi: a ``hull`` certificate of a CP and a
@@ -701,7 +697,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     of its dual cone.
 
     The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
-    routes, the ``route`` that decided.  Every join(CP, t(CP)) verdict
+    routes, the ``route`` that decided; a join member certified by a child
+    names its ``side``.  Every join(CP, t(CP)) verdict
     reports its ``sweeps`` (0 when a child decided); other join verdicts
     that sampled report ``dual_samples``.  The ``vector_search`` and
     ``projection_search`` refutations, and the Pk ``unknown`` exit, report
@@ -732,15 +729,25 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         # one Choi spectrum serves every base-cone route
         vals, vecs = linalg.hermitian_part_eigen(phi.choi)
 
+    if isinstance(expr, Base) and expr.kind in ("CP", "SPk"):
+        # SPk(k) lies in CP, and Ad_V for V = unvec of the lowest Choi
+        # eigenvector refutes both
+        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
+        if found is not None:
+            return _dual_verdict(found, "not_cp", cfg)
+
     if isinstance(expr, Base) and expr.kind == "CP":
-        return _cp_verdict(vals, vecs, eps, cfg)
+        floor = float(vals[0])
+        return Verdict(MEMBER, certificate={"type": "psd_floor", "min_eigenvalue": floor},
+                       diagnostics={"min_eigenvalue": floor, "cfg": cfg.as_dict()})
 
     if isinstance(expr, Base) and expr.kind == "Pk":
         k = expr.k
-        cp = _cp_verdict(vals, vecs, eps, cfg)
-        if cp.status == MEMBER:
-            cp.diagnostics["route"] = "cp_subset"
-            return cp
+        cert = _psd_floor(vals[0], eps)
+        if cert is not None:
+            return Verdict(MEMBER, certificate=cert,
+                           diagnostics={"min_eigenvalue": cert["min_eigenvalue"],
+                                        "cfg": cfg.as_dict(), "route": "cp_subset"})
         pattern = _spectral_family_pattern(phi, vals, vecs, eps)
         if pattern is not None and pattern[0] > eps:
             a, b, w = pattern
@@ -764,11 +771,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                 return _dual_verdict(found, "family_projection", cfg)
         if k == 1:
             # completely copositive maps are positive: Phi . t in CP certifies
-            co = _cp_verdict(*linalg.hermitian_part_eigen(phi.right_transpose().choi), eps, cfg)
-            if co.status == MEMBER:
-                return Verdict(MEMBER,
-                               certificate={"type": "twirled",
-                                            "inner": co.certificate},
+            co = _psd_floor(linalg.hermitian_part_eigvals(phi.right_transpose().choi)[0], eps)
+            if co is not None:
+                return Verdict(MEMBER, certificate={"type": "twirled", "inner": co},
                                diagnostics={"route": "co_cp_subset",
                                             "cfg": cfg.as_dict()})
         found, closest, sweeps = _conjugation_witness(phi, k, cfg)
@@ -783,9 +788,6 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     if isinstance(expr, Base) and expr.kind == "SPk":
         k = expr.k
-        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
-        if found is not None:
-            return _dual_verdict(found, "not_cp", cfg)
         ops = _kraus_from_eigen(phi, k, vals, vecs, eps)
         if ops is not None:
             return Verdict(MEMBER,
@@ -817,26 +819,28 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     if isinstance(expr, Twirl):
         inner = member(phi.right_transpose(), expr.child, cfg)
-        wrapped = Verdict(inner.status,
-                          certificate=None if inner.certificate is None else
-                          {"type": "twirled", "inner": inner.certificate},
-                          witness=None if inner.witness is None else
-                          {"type": "twirled", "inner": inner.witness},
-                          diagnostics={"route": "twirl", "child": format_cone(expr.child),
-                                       "inner": inner.diagnostics})
-        return wrapped
+        witness = inner.witness
+        if witness is not None:
+            # <psi . t, phi> = <psi, phi . t>: the twirl permutes both Choi
+            # matrices alike, so the pairing stands
+            witness = dict(witness, psi=witness["psi"].right_transpose(),
+                           psi_certificate={"type": "twirled",
+                                            "inner": witness["psi_certificate"]})
+        return Verdict(inner.status,
+                       certificate=None if inner.certificate is None else
+                       {"type": "twirled", "inner": inner.certificate},
+                       witness=witness,
+                       diagnostics={"route": "twirl", "child": format_cone(expr.child),
+                                    "inner": inner.diagnostics})
 
     if isinstance(expr, Meet):
         left = member(phi, expr.left, cfg)
         right = member(phi, expr.right, cfg)
         diag = {"route": "meet", "left": left.status, "right": right.status,
                 "cfg": cfg.as_dict()}
-        for side, v, e in (("left", left, expr.left), ("right", right, expr.right)):
+        for v in (left, right):
             if v.status == NOT_MEMBER:
-                return Verdict(NOT_MEMBER,
-                               witness={"type": "child_witness", "side": side,
-                                        "child": e, "inner": v.witness},
-                               diagnostics=diag)
+                return Verdict(NOT_MEMBER, witness=v.witness, diagnostics=diag)
         if left.status == MEMBER and right.status == MEMBER:
             return Verdict(MEMBER,
                            certificate={"type": "both", "left": left.certificate,
@@ -848,16 +852,14 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         effort = {"sweeps": 0} if expr in _DECOMPOSABLE else {}
         left = member(phi, expr.left, cfg)
         if left.status == MEMBER:
-            return Verdict(MEMBER,
-                           certificate={"type": "child_certificate", "side": "left",
-                                        "child": expr.left, "inner": left.certificate},
-                           diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
+            return Verdict(MEMBER, certificate=left.certificate,
+                           diagnostics={"route": "join", "side": "left", **effort,
+                                        "cfg": cfg.as_dict()})
         right = member(phi, expr.right, cfg)
         if right.status == MEMBER:
-            return Verdict(MEMBER,
-                           certificate={"type": "child_certificate", "side": "right",
-                                        "child": expr.right, "inner": right.certificate},
-                           diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
+            return Verdict(MEMBER, certificate=right.certificate,
+                           diagnostics={"route": "join", "side": "right", **effort,
+                                        "cfg": cfg.as_dict()})
         if expr in _DECOMPOSABLE:
             cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
             effort = {"sweeps": sweeps}
@@ -1013,18 +1015,14 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
         d = phi.m * phi.n
         a, b, w = cert["a"], cert["b"], cert["w"]
         rebuilt = a * np.eye(d) - b * np.outer(w, w.conj())
-        if np.max(np.abs(phi.choi - rebuilt)) > eps:
+        if np.max(np.abs(phi.choi - rebuilt)) > eps or a <= 0 or "k" not in cert:
             return False
-        if "k" in cert and a > 0:
-            return (b / a) * _family_kfan(w, phi.m, phi.n, cert["k"]) <= 1.0 + tol
-        return True
+        return (b / a) * _family_kfan(w, phi.m, phi.n, cert["k"]) <= 1.0 + tol
     if kind == "twirled":
         return _recheck_certificate(phi.right_transpose(), cert["inner"], tol)
     if kind == "both":
         return (_recheck_certificate(phi, cert["left"], tol)
                 and _recheck_certificate(phi, cert["right"], tol))
-    if kind == "child_certificate":
-        return _recheck_certificate(phi, cert["inner"], tol)
     if kind == "hull":
         m, n = phi.dims
         if min(cert["weights"]) < 0 or not phi.isclose(_rebuild(cert, m, n), eps):
@@ -1032,34 +1030,24 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
         return all(_recheck_certificate(_rebuild(part, m, n), part, tol)
                    for part in cert["parts"])
     if kind == "meet":
-        if not _recheck_certificate(phi, cert["part"], tol):
-            return False
         other = cert.get("other_cert")
-        return other is None or _recheck_certificate(phi, other, tol)
+        return (other is not None and _recheck_certificate(phi, cert["part"], tol)
+                and _recheck_certificate(phi, other, tol))
     raise ValueError(f"unknown certificate type {kind!r}")
 
 
 def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
     # a witness value must lie below half the tolerance member refuted with
-    kind = wit["type"]
-    if kind == "negative_eigenvector":
-        x = wit["vector"]
-        quad = float(np.real(np.vdot(x, phi.choi @ x))) / float(np.real(np.vdot(x, x)))
-        return quad < -linalg.tolerance(phi.choi, tol) / 2
-    if kind == "dual_element":
-        psi = wit["psi"]
-        if not _recheck_certificate(psi, wit["psi_certificate"], tol):
-            return False
-        if wit.get("pairing") is not None:
-            return pair(psi, phi, tol) < -_pair_tolerance(psi.choi, phi, tol) / 2
-        comp = psi.adjoint().compose(phi)
-        vals, _ = linalg.hermitian_part_eigen(comp.choi)
-        return bool(vals[0] < -linalg.tolerance(comp.choi, tol) / 2)
-    if kind == "twirled":
-        return _recheck_witness(phi.right_transpose(), wit["inner"], tol)
-    if kind == "child_witness":
-        return _recheck_witness(phi, wit["inner"], tol)
-    raise ValueError(f"unknown witness type {kind!r}")
+    if wit["type"] != "dual_element":
+        raise ValueError(f"unknown witness type {wit['type']!r}")
+    psi = wit["psi"]
+    if not _recheck_certificate(psi, wit["psi_certificate"], tol):
+        return False
+    if wit.get("pairing") is not None:
+        return pair(psi, phi, tol) < -_pair_tolerance(psi.choi, phi, tol) / 2
+    comp = psi.adjoint().compose(phi)
+    vals, _ = linalg.hermitian_part_eigen(comp.choi)
+    return bool(vals[0] < -linalg.tolerance(comp.choi, tol) / 2)
 
 
 def recheck(phi: SuperOperator, verdict: Verdict, tol: float = 1e-9) -> bool:
@@ -1070,7 +1058,11 @@ def recheck(phi: SuperOperator, verdict: Verdict, tol: float = 1e-9) -> bool:
     ``linalg.tolerance`` of the Choi matrix, and a dimensionless ratio such
     as the ``family`` threshold within tol itself.  A witness value must lie
     below half the tolerance :func:`member` refutes with, the only slack
-    left.  No check depends on the scale of phi.
+    left.  No check depends on the scale of phi.  The one witness kind is
+    ``dual_element``: its ``psi_certificate`` is rechecked on psi, then its
+    pairing with phi, or the least Choi eigenvalue of psi^dagger . phi when
+    the pairing is None.  A ``meet`` certificate must carry ``other_cert`` and
+    a ``family`` certificate ``k`` and a > 0.
     """
     if verdict.status == MEMBER:
         return verdict.certificate is not None and _recheck_certificate(

@@ -124,7 +124,8 @@ def test_criterion_4_cp_classifier():
     assert member(identity_map(2), expr, cfg).status == MEMBER
     verdict = member(transpose_map(2), expr, cfg)
     assert verdict.status == NOT_MEMBER
-    eig = verdict.witness["eigenvalue"]
+    # the pairing with Ad_V, V = unvec of the lowest Choi eigenvector, is that eigenvalue
+    eig = verdict.witness["pairing"]
     assert abs(eig - (-1.0)) <= 1e-9  # bottom of the swap spectrum
     rng = np.random.default_rng(4)
     for i in range(50):

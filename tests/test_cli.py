@@ -72,6 +72,16 @@ def test_member_verdict_payload(capsys, files):
     assert out["witness"] is not None
 
 
+@pytest.mark.parametrize("cone,exit_code", [
+    ("t(CP)", 1), ("meet(CP,t(CP))", 1), ("join(CP,t(CP))", 0),
+])
+def test_member_verdict_on_identity_is_json(capsys, files, cone, exit_code):
+    # child verdicts pass through a twirl, a meet and a join as plain JSON
+    code, out = run(capsys, "member", files["id2"], cone)
+    assert code == exit_code
+    assert out["status"] == ("member" if exit_code == 0 else "not_member")
+
+
 def test_witness_command(capsys, files):
     code, out = run(capsys, "witness", files["t2"], "CP")
     assert code == 0

@@ -187,7 +187,13 @@ def test_twirl_membership():
     verdict = member(t, expr, CFG)
     assert verdict.status == MEMBER
     assert recheck(t, verdict)
-    assert member(identity_map(3), expr, CFG).status == NOT_MEMBER
+    verdict = member(identity_map(3), expr, CFG)
+    assert verdict.status == NOT_MEMBER
+    assert recheck(identity_map(3), verdict)
+    # a dual-sampling witness of SPk(2), with no pairing, passes through t(.) too
+    verdict = member(t, normalize(parse_cone("t(SPk(2))"), 3, 3), CFG)
+    assert verdict.status == NOT_MEMBER and verdict.witness["pairing"] is None
+    assert recheck(t, verdict)
 
 
 def test_meet_and_join_membership():
@@ -201,7 +207,9 @@ def test_meet_and_join_membership():
     vj = member(identity_map(2), expr_join, CFG)
     assert vj.status == MEMBER
     assert recheck(identity_map(2), vj)
-    assert member(identity_map(2), expr_meet, CFG).status == NOT_MEMBER
+    vm = member(identity_map(2), expr_meet, CFG)
+    assert vm.status == NOT_MEMBER
+    assert recheck(identity_map(2), vm)
 
 
 def test_member_rejects_non_hp_map():
@@ -398,6 +406,22 @@ def test_recheck_rejects_hull_with_an_unsound_part():
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
     negative = dict(cert, weights=(1.5, -0.5), parts=[_kraus_cert(eye, 2)] * 2)
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=negative))
+
+
+def test_recheck_rejects_family_certificate_without_positive_a():
+    # Choi -I - |e0><e0| rebuilds exactly, but with a <= 0 it is no Pk member
+    e0 = np.eye(4, dtype=complex)[0]
+    phi = superop.from_choi(-np.eye(4) - np.outer(e0, e0), 2, 2)
+    cert = {"type": "family", "a": -1, "b": 1, "w": e0, "k": 1}
+    assert not recheck(phi, cones.Verdict(MEMBER, certificate=cert))
+    assert member(phi, normalize(parse_cone("P"), 2, 2), CFG).status == NOT_MEMBER
+
+
+def test_recheck_rejects_meet_certificate_without_other_cert():
+    # a meet certificate proves nothing of its other side without other_cert
+    cert = {"type": "meet", "part": _kraus_cert(np.eye(2, dtype=complex), 2),
+            "via": "inclusion"}
+    assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
 
 
 def test_recheck_checks_kraus_ranks_only_below_min_dims(monkeypatch):
@@ -699,7 +723,8 @@ def test_scale_regressions(case):
 
 
 SCALE_MAPS = ("hp", "cp", "rank_one", "transposition", "ckl")
-SCALE_CONES = ("CP", "P", "SP", "Pk(2)", "SPk(2)", "t(CP)", "join(CP,t(CP))")
+SCALE_CONES = ("CP", "P", "SP", "Pk(2)", "SPk(2)", "t(CP)", "t(Pk(2))", "join(CP,t(CP))",
+               "meet(CP,t(CP))")
 # positive and indecomposable, not positive, decomposable, and the boundary
 CKL_POINTS = ((2.0, 1.0, 0.0), (2.05, 1.05, 0.05), (2.0, 0.8, 0.0), (3.0, 0.0, 0.0),
               (2.0, 0.5, 0.5))
@@ -728,3 +753,10 @@ def test_verdicts_are_scale_invariant_and_pass_recheck(kind, text, seed, log_sca
     verdict, scaled_verdict = member(phi, expr, CFG), member(scaled, expr, CFG)
     assert scaled_verdict.status == verdict.status
     assert recheck(phi, verdict) and recheck(scaled, scaled_verdict)
+    for chi, v in ((phi, verdict), (scaled, scaled_verdict)):
+        if v.status == NOT_MEMBER:
+            # every refutation is one dual element, its pairing that of pair
+            assert v.witness["type"] == "dual_element"
+            if v.witness["pairing"] is not None:
+                assert (abs(v.witness["pairing"] - pair(v.witness["psi"], chi))
+                        <= linalg.tolerance(chi.choi, 1e-12))
