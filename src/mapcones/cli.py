@@ -2,8 +2,8 @@
 
 Matrices and superoperators travel as files (or stdin via ``-``) in the JSON
 forms of :mod:`linalg` and :mod:`superop`.  Exit codes: 0 member / success,
-1 not-member / failed verification, 2 unknown, 64 cone-grammar error,
-65 dimension mismatch, 66 malformed input.
+1 not-member / failed verification, 2 unknown, 64 usage or cone-grammar
+error, 65 dimension mismatch, 66 malformed input.
 """
 
 from __future__ import annotations
@@ -277,10 +277,19 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 64 (sysexits EX_USAGE), not
+    argparse's 2, which is the exit code of an unknown verdict."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_GRAMMAR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mapcones",
-                                     description="Cones of positive maps: Choi "
-                                                 "transforms, duality, membership.")
+    parser = _Parser(prog="mapcones",
+                     description="Cones of positive maps: Choi transforms, duality, "
+                                 "membership.")
     tol_help = ("decision tolerance, relative to the largest Choi entry (verify: the "
                 "absolute tolerance of its checks); default 1e-9")
     parser.add_argument("--tol", type=float, default=1e-9, help=tol_help)
@@ -295,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+                                parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     p = sub.add_parser("choi", help="Choi matrix of a map or Kraus list")
     p.add_argument("input", help="superoperator JSON or {'kraus': [matrix, ...]}")

@@ -124,10 +124,13 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
 
     X is n x k and Y is k x m, so vec(X Y) spans exactly the vectors of
     Schmidt rank <= k in C^m x C^n.  All restarts run as one stacked batch of
-    alternating half-steps.  Each half-step orthonormalizes the factor held
-    fixed (QR of Y^H, or of X), so ||X Y|| is the norm of the free factor and
-    the exact minimum over it is the lowest eigenpair of a Hermitian
-    (kn) x (kn) or (km) x (km) matrix.  The current point stays feasible, so
+    alternating half-steps.  Each half-step replaces the factor held fixed by
+    one with orthonormal columns or rows and the same span (a batched QR of
+    Y^H, or of X; at k = 1, where the span is one line, a normalization), so
+    ||X Y|| is the norm of the free factor and the exact minimum over it is
+    the lowest eigenpair of a Hermitian (kn) x (kn) or (km) x (km) matrix.
+    That compressed matrix is two batched matmuls of the fixed factor with
+    views of C taken once per call.  The current point stays feasible, so
     no restart's value increases.  A restart has settled once a sweep lowers
     its value by no more than ``_SWEEP_DROP * max(max|C|, |value|)``, a test
     that, like every other, reads the same at every scale of C.  Sweeps stop
@@ -146,6 +149,10 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     columns and ||y|| = 1, so ||x @ y|| = 1.
     """
     c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    # C[a i, b j] with the index a half-step contracts first at one end:
+    # rows (a i j) by column b, and row i by columns (a b j)
+    c_b = c4.transpose(0, 1, 3, 2).reshape(m * n * n, m)
+    c_i = c4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
     rng = np.random.default_rng(seed)
     x = random_complex((restarts, n, k), rng)
     y = random_complex((restarts, k, m), rng)
@@ -154,15 +161,21 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         prev = vals
-        # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows
-        q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
-        mat = np.einsum("zar,aibj,zbs->zrisj", q, c4, q.conj())
-        _, vecs = hermitian_part_eigen(mat.reshape(restarts, k * n, k * n))
+        # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows;
+        # mat[r i, s j] = sum_ab Q[a, r] C[a i, b j] conj(Q[b, s])
+        q = _orthonormal_columns(np.swapaxes(y, 1, 2).conj())
+        t = (c_b @ q.conj()).reshape(restarts, m, n * n * k)
+        mat = (np.swapaxes(q, 1, 2) @ t).reshape(restarts, k, n, n, k)
+        _, vecs = hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+            restarts, k * n, k * n))
         x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
-        # X = Q R: X Y = Q (R Y), and Q has orthonormal columns
-        q, _ = np.linalg.qr(x)
-        mat = np.einsum("zir,aibj,zjs->zrasb", q.conj(), c4, q)
-        vals, vecs = hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
+        # X = Q R: X Y = Q (R Y), and Q has orthonormal columns;
+        # mat[r a, s b] = sum_ij conj(Q[i, r]) C[a i, b j] Q[j, s]
+        q = _orthonormal_columns(x)
+        t = (np.swapaxes(q, 1, 2).conj() @ c_i).reshape(restarts, k * m * m, n)
+        mat = (t @ q).reshape(restarts, k, m, m, k)
+        vals, vecs = hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+            restarts, k * m, k * m))
         vals = vals[:, 0]
         x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
         settled = prev - vals <= _SWEEP_DROP * np.maximum(scale, np.abs(vals))
@@ -172,6 +185,15 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
             break
     best = int(np.argmin(vals))
     return float(vals[best]), x[best], y[best], sweeps
+
+
+def _orthonormal_columns(a):
+    """Orthonormal columns spanning those of each matrix in a stack: the Q of
+    a batched QR, or, for a single column, the column normalized, which
+    differs from that Q only by a phase that Ad_V ignores."""
+    if a.shape[-1] == 1:
+        return a / np.linalg.norm(a, axis=-2, keepdims=True)
+    return np.linalg.qr(a)[0]
 
 
 def singular_values(m) -> np.ndarray:

@@ -143,13 +143,20 @@ def kraus_stack(ops) -> np.ndarray:
 
 def adjoint_compositions(chois, phi: "SuperOperator") -> np.ndarray:
     """Choi matrices of psi^dagger . phi for a stack of m -> n maps psi, as
-    ``psi.adjoint().compose(phi)`` builds them one at a time."""
+    ``psi.adjoint().compose(phi)`` builds them one at a time.
+
+    Realigned, P[k l, i j] = Phi[k i, l j] and S_z[i j, a b] = Psi_z[a i, b j],
+    entry (k a, l b) of the z-th Choi matrix is the conjugate of entry
+    (k l, a b) of conj(P) S_z: the whole stack is one matmul of the
+    m^2 x n^2 matrix conj(P) with the stack of n^2 x m^2 matrices S_z.
+    """
     m, n = phi.dims
-    # conj(sum conj(phi) psi) = sum phi conj(psi) exactly, and needs no
-    # conjugated copy of the stack
-    comp = np.einsum("kilj,zaibj->zkalb", phi._choi4().conj(),
-                     chois.reshape(-1, m, n, m, n))
-    return np.conjugate(comp, out=comp).reshape(-1, m * m, m * m)
+    p = phi._choi4().transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    comp = p.conj() @ chois.reshape(-1, m, n, m, n).transpose(0, 2, 4, 1, 3).reshape(
+        -1, n * n, m * m)
+    # back from rows (k l), columns (a b) to the Choi order (k a, l b)
+    comp = np.conjugate(comp.reshape(-1, m, m, m, m).transpose(0, 1, 3, 2, 4))
+    return comp.reshape(-1, m * m, m * m)
 
 
 def from_choi(c, m: int, n: int) -> SuperOperator:

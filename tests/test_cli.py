@@ -58,6 +58,21 @@ def test_grammar_error_exit_64(capsys):
     assert cli.main(["dual", "P("]) == 64
 
 
+@pytest.mark.parametrize("argv", [["member"], ["--bogus"]])
+def test_usage_error_exit_64_not_the_unknown_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 64
+    assert "usage: mapcones" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: mapcones" in capsys.readouterr().out
+
+
 def test_member_exit_codes(capsys, files):
     assert cli.main(["member", files["fam04"], "Pk(2)"]) == 0
     assert cli.main(["member", files["fam06"], "Pk(2)"]) == 1

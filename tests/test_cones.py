@@ -269,9 +269,9 @@ def test_join_witness_search_makes_two_eigensolver_calls(monkeypatch):
     assert len(calls) == 2
 
 
-def test_stacked_pairing_and_compositions_match_per_sample_loops():
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (4, 4)])
+def test_stacked_pairing_and_compositions_match_per_sample_loops(m, n):
     rng = np.random.default_rng(17)
-    m, n = 2, 3
     phi = superop.random_hp_map(m, n, rng)
     chois, _ = cones._sample_stack(normalize(parse_cone("meet(CP,t(CP))"), m, n),
                                        m, n, 60, rng)

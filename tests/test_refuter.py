@@ -76,6 +76,54 @@ def test_batched_minimizer_matches_the_unbatched_loop(m, n):
             assert val <= _loop_min(choi, m, n, k, 4, 60, seed=i) + 1e-8
 
 
+def _qr_einsum_min(choi, m, n, k, restarts, max_iters, seed):
+    """The batched minimizer as first written: a QR of the fixed factor at
+    every k and a three-operand einsum for each compressed matrix.  Starts
+    from the same random factors and settles by the same rule as
+    ``schmidt_rank_min`` without ``stop_below``."""
+    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    rng = np.random.default_rng(seed)
+    x = linalg.random_complex((restarts, n, k), rng)
+    y = linalg.random_complex((restarts, k, m), rng)
+    vals = np.full(restarts, np.inf)
+    scale = float(np.abs(c4).max())
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        prev = vals
+        q, _ = np.linalg.qr(np.swapaxes(y, 1, 2).conj())
+        mat = np.einsum("zar,aibj,zbs->zrisj", q, c4, q.conj())
+        _, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * n, k * n))
+        x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
+        q, _ = np.linalg.qr(x)
+        mat = np.einsum("zir,aibj,zjs->zrasb", q.conj(), c4, q)
+        vals, vecs = linalg.hermitian_part_eigen(mat.reshape(restarts, k * m, k * m))
+        vals = vals[:, 0]
+        x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
+        if np.all(prev - vals <= linalg._SWEEP_DROP * np.maximum(scale, np.abs(vals))):
+            break
+    best = int(np.argmin(vals))
+    return float(vals[best]), x[best], y[best], sweeps
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+@pytest.mark.parametrize("max_iters", [1, 5])
+def test_matmul_sweep_matches_the_qr_einsum_sweep(m, n, max_iters):
+    rng = np.random.default_rng([m, n, 3])
+    choi = linalg.random_hermitian(m * n, rng)
+    for k in range(1, min(m, n)):
+        val, x, y, sweeps = linalg.schmidt_rank_min(choi, m, n, k, 4, max_iters, seed=k)
+        ref_val, ref_x, ref_y, ref_sweeps = _qr_einsum_min(choi, m, n, k, 4, max_iters, k)
+        assert abs(val - ref_val) <= 1e-12 * np.abs(choi).max()
+        assert sweeps == ref_sweeps
+        # the same point up to one global phase; where the minimum is flat
+        # the point follows rounding more than the value does (2e-9 at 2x2)
+        v, ref_v = x @ y, ref_x @ ref_y
+        phase = np.vdot(v, ref_v)
+        np.testing.assert_allclose(v * phase / abs(phase), ref_v, rtol=0, atol=1e-8)
+        if k == 1:
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_same_seed_gives_identical_arrays():
     choi = linalg.random_hermitian(12, np.random.default_rng(5))
     first = linalg.schmidt_rank_min(choi, 3, 4, 2, 8, 60, seed=3)
