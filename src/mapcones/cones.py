@@ -281,9 +281,10 @@ class MemberConfig:
     sampled generators, ``seed`` fixes every random start, and ``max_iters``
     is the upper bound on the sweeps of both iterative searches: the
     Schmidt-rank-k minimization (it stops earlier once every restart has
-    settled, or once its best restart has settled below minus the
-    tolerance) and the alternating projections that decide join(CP, t(CP))
-    (they stop at the first certificate or witness).
+    settled, or once its best restart has settled and either lies below
+    minus the tolerance or no restart can reach it in the sweeps left at
+    its current per-sweep drop) and the alternating projections that decide
+    join(CP, t(CP)) (they stop at the first certificate or witness).
     """
 
     tol: float = 1e-9
@@ -513,7 +514,7 @@ def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
         raise ValueError(f"first argument is not Hermiticity-preserving within {tol} * max|C|")
     if not phi.is_hermiticity_preserving(tol):
         raise ValueError(f"second argument is not Hermiticity-preserving within {tol} * max|C|")
-    vals = np.einsum("zij,ij->z", chois, phi.choi.conj())
+    vals = chois.reshape(len(chois), -1) @ phi.choi.conj().reshape(-1)
     residue = np.abs(vals.imag) > _pair_tolerance(chois, phi, tol)
     if residue.any():
         raise ArithmeticError(f"pairing has imaginary residue {vals.imag[residue][0]}")
@@ -534,7 +535,10 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     eigenvector at k = min(m, n), and otherwise the minimizer of the Choi
     quadratic form over unit vectors of Schmidt rank <= k, found in
     ``sweeps`` sweeps (0 when no search ran).  The minimizer stops once its
-    best restart has settled below -eps, the only comparison made here.
+    best restart has settled below -eps, the only comparison made here, or,
+    with every value above -eps, once no restart falls fast enough to reach
+    -eps in the sweeps left; that stall stop assumes no restart's per-sweep
+    drop grows (see :func:`linalg.schmidt_rank_min`).
     """
     m, n = phi.dims
     eps = linalg.tolerance(phi.choi, cfg.tol)

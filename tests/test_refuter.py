@@ -1,5 +1,7 @@
 """Reference tests for the batched Schmidt-rank-k minimizer ``linalg.schmidt_rank_min``."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,19 +180,21 @@ def test_stop_below_ends_early_on_settled_refutations(seed):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_stop_below_leaves_runs_that_never_reach_it_unchanged(seed):
+def test_stop_below_stops_runs_that_cannot_reach_it(seed):
     # Phi[2,1,0] is positive with product-vector minimum 0, and Tr - lam Ad_V
-    # between its CP and 2-positivity thresholds is 2-positive, not CP
+    # between its CP and 2-positivity thresholds is 2-positive, not CP: no
+    # restart falls fast enough to reach -tol in the sweeps left, so the
+    # stall exit ends the run before the full one ends
     v = linalg.random_complex((4, 4), np.random.default_rng([seed, 4]))
     lam = (cp_threshold(v) + k_positivity_threshold(v, 2)) / 2
     cases = [(_rotated_ckl(2.0, 1.0, 0.0, seed), 3, 3, 1),
              (build(PhiLambdaSpec(v, lam)).choi, 4, 4, 2)]
     for choi, m, n, k in cases:
         full, early = _both_runs(choi, m, n, k, seed)
-        assert full[0] >= -TOL
-        assert early[0] == full[0] and early[3] == full[3]
-        assert early[1].tobytes() == full[1].tobytes()
-        assert early[2].tobytes() == full[2].tobytes()
+        assert full[0] >= -TOL and early[0] >= -TOL
+        assert early[3] < full[3]
+        assert abs(early[0] - full[0]) <= 1e-10 * np.abs(choi).max()
+        assert _quad(choi, early[1] @ early[2]) == pytest.approx(early[0], abs=1e-9)
 
 
 def test_stop_below_keeps_every_decision_on_a_seeded_corpus():
@@ -210,3 +214,65 @@ def test_stop_below_keeps_every_decision_on_a_seeded_corpus():
             decisions.append(full[0] < -TOL)
     # the corpus has maps on both sides
     assert 0 < sum(decisions) < len(decisions)
+
+
+def _shifted_hp(m, n, k, delta, rng, seed):
+    """A random HP map shifted by a multiple of the identity so that the
+    Schmidt-rank-k minimum of its full run sits at delta * max|H|; the shift
+    moves every sweep's values by the same constant."""
+    h = linalg.random_hermitian(m * n, rng)
+    low = linalg.schmidt_rank_min(h, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed)[0]
+    return h + (delta * np.abs(h).max() - low) * np.eye(m * n)
+
+
+def _ckl_outside(a, eta, u, seed):
+    """Rotated Phi[a,b,c] with 1 <= a < 2, a + b + c > 3 and b c =
+    (1 - eta) (2 - a)^2, just below the positivity bound (2 - a)^2."""
+    b = (3.0 - a) * u
+    c = (1.0 - eta) * (2.0 - a) ** 2 / b
+    return _rotated_ckl(a, b, c, seed)
+
+
+def test_stop_below_keeps_every_decision_near_the_boundary():
+    # the stall exit assumes no restart's per-sweep drop grows; near -tol a
+    # breach of that premise would flip a decision, so the corpus puts the
+    # minimum within 1e-9 to 1e-2 times max|H| of zero, on both sides
+    rng = np.random.default_rng(12)
+    corpus = []
+    for i in range(40):
+        m, n, k = [(2, 3, 1), (3, 3, 1), (3, 4, 1), (4, 4, 1), (3, 3, 2), (3, 4, 2),
+                   (4, 4, 2), (4, 3, 2)][i % 8]
+        delta = (-1) ** i * 10.0 ** rng.uniform(-9, -2)
+        corpus.append((_shifted_hp(m, n, k, delta, rng, i), m, n, k))
+    for i in range(20):
+        a, eta, u = rng.uniform(1.0, 1.9), 10.0 ** rng.uniform(-6, -2), rng.uniform(1.0, 2.0)
+        corpus.append((_ckl_outside(a, eta, u, i), 3, 3, 1))
+    decisions = []
+    for i, (choi, m, n, k) in enumerate(corpus):
+        eps = linalg.tolerance(choi, TOL)
+        full = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, i)
+        early = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, i,
+                                        stop_below=-eps)
+        assert (early[0] < -eps) == (full[0] < -eps)
+        assert early[3] <= full[3]
+        if early[0] < -eps:
+            # a refutation is the full run cut at the same sweep, bit for bit
+            cut = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS,
+                                          early[3], i)
+            assert early[0] == cut[0] and early[3] == cut[3]
+            assert early[1].tobytes() == cut[1].tobytes()
+            assert early[2].tobytes() == cut[2].tobytes()
+        decisions.append(full[0] < -eps)
+    assert 0 < sum(decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_stall_exit_guards_the_first_and_last_sweep(max_iters):
+    # the first sweep's drop is inf and the last leaves 0 sweeps: their
+    # product would raise a RuntimeWarning, an error under pytest here
+    choi = _rotated_ckl(2.0, 1.0, 0.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, _, _, sweeps = linalg.schmidt_rank_min(choi, 3, 3, 1, linalg.SCHMIDT_RESTARTS,
+                                                    max_iters, 0, stop_below=-TOL)
+    assert np.isfinite(val) and sweeps == max_iters
