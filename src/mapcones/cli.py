@@ -3,13 +3,17 @@
 Matrices and superoperators travel as files (or stdin via ``-``) in the JSON
 forms of :mod:`linalg` and :mod:`superop`.  Exit codes: 0 member / success,
 1 not-member / failed verification, 2 unknown, 64 usage or cone-grammar
-error, 65 dimension mismatch, 66 malformed input.
+error, 65 dimension mismatch, 66 malformed input: an unreadable or malformed
+input file, an unwritable ``--output``, or an out-of-range option value
+(``--samples 0``, ``--trials 0``, ``--tol nan``).  Errors reach :func:`main`,
+which maps each to its code by one table and prints one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -29,10 +33,13 @@ _STATUS_EXIT = {cones.MEMBER: EXIT_MEMBER, cones.NOT_MEMBER: EXIT_NOT_MEMBER,
                 cones.UNKNOWN: EXIT_UNKNOWN}
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+# The exit code of an error that reaches main; the first match wins.
+# ConeGrammarError and DimensionError subclass ValueError, and so do numpy's
+# LinAlgError and json.JSONDecodeError; ArithmeticError is the imaginary
+# residue of cones.pair, OSError an unreadable input or unwritable output.
+_MALFORMED = (ValueError, OSError, ArithmeticError)
+_ERROR_EXIT = ((ConeGrammarError, EXIT_GRAMMAR), (DimensionError, EXIT_DIMENSION),
+               (_MALFORMED, EXIT_MALFORMED))
 
 
 def _read_json(path: str):
@@ -41,24 +48,16 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read JSON from {path}: {exc}", EXIT_MALFORMED)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _read_superop(path: str) -> superop.SuperOperator:
-    try:
-        return superop.superop_from_json(_read_json(path))
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_MALFORMED)
+    return superop.superop_from_json(_read_json(path))
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    try:
-        return linalg.matrix_from_json(_read_json(path))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_MALFORMED)
+    return linalg.matrix_from_json(_read_json(path))
 
 
 def _emit(obj, args) -> None:
@@ -99,42 +98,24 @@ def _verdict_json(verdict: cones.Verdict) -> dict:
 
 
 def _parse_cone_arg(text: str, m: int, n: int):
-    try:
-        return cones.normalize(cones.parse_cone(text), m, n)
-    except ConeGrammarError as exc:
-        raise CliError(f"cone grammar error: {exc}", EXIT_GRAMMAR)
+    return cones.normalize(cones.parse_cone(text), m, n)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    try:
-        m, n = (int(x) for x in text.split(","))
-        if m < 1 or n < 1:
-            raise ValueError
-        return m, n
-    except ValueError:
-        raise CliError(f"dims must be 'm,n' with positive integers, got {text!r}",
-                       EXIT_MALFORMED)
-
-
-def _cfg(args) -> MemberConfig:
-    return MemberConfig(tol=args.tol, samples=args.samples, seed=args.seed)
+    dims = re.fullmatch(r"\s*(\d*[1-9]\d*)\s*,\s*(\d*[1-9]\d*)\s*", text)
+    if dims is None:
+        raise ValueError(f"dims must be 'm,n' with positive integers, got {text!r}")
+    return int(dims[1]), int(dims[2])
 
 
 def cmd_choi(args) -> int:
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "kraus" in obj:
-        try:
-            ops = [linalg.matrix_from_json(k) for k in obj["kraus"]]
-            phi = superop.from_kraus(ops)
-        except DimensionError as exc:
-            raise CliError(str(exc), EXIT_DIMENSION)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_MALFORMED)
+        if not isinstance(obj["kraus"], list):
+            raise ValueError("kraus must be a list of matrices")
+        phi = superop.from_kraus([linalg.matrix_from_json(k) for k in obj["kraus"]])
     else:
-        try:
-            phi = superop.superop_from_json(obj)
-        except (DimensionError, ValueError) as exc:
-            raise CliError(str(exc), EXIT_MALFORMED)
+        phi = superop.superop_from_json(obj)
     _emit(superop.superop_to_json(phi), args)
     return 0
 
@@ -142,21 +123,14 @@ def cmd_choi(args) -> int:
 def cmd_from_choi(args) -> int:
     mat = _read_matrix(args.input)
     m, n = _parse_dims(args.dims)
-    try:
-        phi = superop.from_choi(mat, m, n)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
-    _emit(superop.superop_to_json(phi), args)
+    _emit(superop.superop_to_json(superop.from_choi(mat, m, n)), args)
     return 0
 
 
 def cmd_apply(args) -> int:
     phi = _read_superop(args.map)
     x = _read_matrix(args.input)
-    try:
-        _emit(linalg.matrix_to_json(phi.apply(x)), args)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
+    _emit(linalg.matrix_to_json(phi.apply(x)), args)
     return 0
 
 
@@ -168,20 +142,14 @@ def cmd_adjoint(args) -> int:
 def cmd_compose(args) -> int:
     outer = _read_superop(args.outer)
     inner = _read_superop(args.inner)
-    try:
-        _emit(superop.superop_to_json(outer.compose(inner)), args)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
+    _emit(superop.superop_to_json(outer.compose(inner)), args)
     return 0
 
 
 def cmd_inner(args) -> int:
     a = _read_superop(args.first)
     b = _read_superop(args.second)
-    try:
-        val = superop.map_inner(a, b)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
+    val = superop.map_inner(a, b)
     _emit({"inner": [val.real, val.imag]}, args)
     return 0
 
@@ -189,13 +157,7 @@ def cmd_inner(args) -> int:
 def cmd_pair(args) -> int:
     a = _read_superop(args.first)
     b = _read_superop(args.second)
-    try:
-        val = cones.pair(a, b, args.tol)
-    except DimensionError as exc:
-        raise CliError(str(exc), EXIT_DIMENSION)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_MALFORMED)
-    _emit({"pairing": val}, args)
+    _emit({"pairing": cones.pair(a, b, args.tol)}, args)
     return 0
 
 
@@ -210,10 +172,7 @@ def cmd_dual(args) -> int:
 def cmd_member(args) -> int:
     phi = _read_superop(args.map)
     expr = _parse_cone_arg(args.cone, phi.m, phi.n)
-    try:
-        verdict = cones.member(phi, expr, _cfg(args))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_MALFORMED)
+    verdict = cones.member(phi, expr, args.cfg)
     _emit(_verdict_json(verdict), args)
     return _STATUS_EXIT[verdict.status]
 
@@ -221,7 +180,7 @@ def cmd_member(args) -> int:
 def cmd_witness(args) -> int:
     phi = _read_superop(args.map)
     expr = _parse_cone_arg(args.cone, phi.m, phi.n)
-    found = cones.witness_search(phi, expr, _cfg(args))
+    found = cones.witness_search(phi, expr, args.cfg)
     if found is None:
         _emit({"witness": None}, args)
         return EXIT_UNKNOWN
@@ -233,31 +192,28 @@ def cmd_witness(args) -> int:
 
 def cmd_phi_lambda(args) -> int:
     v = _read_matrix(args.v)
-    try:
-        spec = family.PhiLambdaSpec(v, args.lam)
-        n, m = v.shape
-        kmax = min(m, n)
-        thresholds = {str(k): family.k_positivity_threshold(v, k)
-                      for k in range(1, kmax + 1)}
-        result = {
-            "m": m,
-            "n": n,
-            "lambda": args.lam,
-            "cp_threshold": family.cp_threshold(v),
-            "k_positivity_thresholds": thresholds,
-        }
-        if args.k is not None:
-            if not 1 <= args.k <= kmax:
-                raise CliError(f"k must be in 1..{kmax}", EXIT_MALFORMED)
-            ok, witness = family.brute_force_k_positivity(spec, args.k, args.seed, args.tol)
-            result["k"] = args.k
-            result["analytic_k_positive"] = bool(
-                args.lam <= thresholds[str(args.k)])
-            result["brute_force_k_positive"] = ok
-            result["witness_projection"] = _jsonify(witness) if witness is not None else None
-        _emit(result, args)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_MALFORMED)
+    spec = family.PhiLambdaSpec(v, args.lam)
+    n, m = v.shape
+    kmax = min(m, n)
+    thresholds = {str(k): family.k_positivity_threshold(v, k)
+                  for k in range(1, kmax + 1)}
+    result = {
+        "m": m,
+        "n": n,
+        "lambda": args.lam,
+        "cp_threshold": family.cp_threshold(v),
+        "k_positivity_thresholds": thresholds,
+    }
+    if args.k is not None:
+        if not 1 <= args.k <= kmax:
+            raise ValueError(f"k must be in 1..{kmax}")
+        ok, witness = family.brute_force_k_positivity(spec, args.k, args.seed, args.tol)
+        result["k"] = args.k
+        result["analytic_k_positive"] = bool(
+            args.lam <= thresholds[str(args.k)])
+        result["brute_force_k_positive"] = ok
+        result["witness_projection"] = _jsonify(witness) if witness is not None else None
+    _emit(result, args)
     return 0
 
 
@@ -272,7 +228,7 @@ def cmd_verify(args) -> int:
                                                tol=args.tol, trials=args.trials)
                    if r.check_id.startswith(args.check)]
         if not reports:
-            raise CliError(f"unknown check id {args.check!r}", EXIT_MALFORMED)
+            raise ValueError(f"unknown check id {args.check!r}")
     _emit([r.as_dict() for r in reports], args)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -372,10 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checks --tol and --samples for every command, not only member and witness
+        args.cfg = MemberConfig(tol=args.tol, samples=args.samples, seed=args.seed)
         return args.func(args)
-    except CliError as exc:
+    except _MALFORMED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return next(code for kind, code in _ERROR_EXIT if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

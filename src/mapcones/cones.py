@@ -36,6 +36,7 @@ refuted by sampling their dual cone.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -285,12 +286,21 @@ class MemberConfig:
     minus the tolerance or no restart can reach it in the sweeps left at
     its current per-sweep drop) and the alternating projections that decide
     join(CP, t(CP)) (they stop at the first certificate or witness).
+    A config with ``samples`` or ``max_iters`` below 1, or with a ``tol``
+    that is negative or not finite, raises ValueError.
     """
 
     tol: float = 1e-9
     samples: int = 500
     seed: int = 0
     max_iters: int = 60
+
+    def __post_init__(self):
+        for name in ("samples", "max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def as_dict(self) -> dict:
         return {"tol": self.tol, "samples": self.samples, "seed": self.seed,
@@ -720,8 +730,6 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
       of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
       Pk (a witness needs one below the tolerance of that composition).
     """
-    if cfg.samples < 1:
-        raise ValueError("cfg.samples must be >= 1")
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
     m, n = phi.dims

@@ -266,25 +266,39 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
+def json_int(value, name: str) -> int:
+    """``value`` as an int if it is a JSON integer, else ValueError: a bool
+    is not one, and 2.9 is not truncated to 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of a JSON object ``{"rows", "cols", "entries"}``; raises
+    ValueError, never TypeError, on any malformed object."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_int(obj["rows"], "rows")
+        cols = json_int(obj["cols"], "cols")
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ValueError("entries must be [re, im] pairs")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError("matrix entries must be finite")
-        flat[idx] = complex(re, im)
+    try:
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        flat = np.empty(rows * cols, dtype=np.complex128)
+        for idx, pair in enumerate(entries):
+            if len(pair) != 2:
+                raise ValueError("entries must be [re, im] pairs")
+            re, im = float(pair[0]), float(pair[1])
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError("matrix entries must be finite")
+            flat[idx] = complex(re, im)
+    # a non-list entries or entry, or a non-number part
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix entries: {exc}") from exc
     return flat.reshape(rows, cols)

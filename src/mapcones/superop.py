@@ -235,6 +235,10 @@ def superop_to_json(phi: SuperOperator) -> dict:
 
 
 def superop_from_json(obj) -> SuperOperator:
+    """The map of a JSON object ``{"m", "n", "choi"}``; raises DimensionError
+    when the Choi shape does not match m, n and ValueError, never TypeError,
+    on any other malformed object."""
     if not isinstance(obj, dict) or not {"m", "n", "choi"} <= set(obj):
         raise ValueError("superoperator JSON must carry m, n and choi")
-    return SuperOperator(int(obj["m"]), int(obj["n"]), linalg.matrix_from_json(obj["choi"]))
+    return SuperOperator(linalg.json_int(obj["m"], "m"), linalg.json_int(obj["n"], "n"),
+                         linalg.matrix_from_json(obj["choi"]))

@@ -144,6 +144,62 @@ def test_malformed_json_nonzero(capsys, files):
     assert cli.main(["member", files["notjson"], "CP"]) == 66
 
 
+def _hp_json(d, **fields):
+    """A random d x d Hermiticity-preserving map's JSON with ``fields`` replaced."""
+    obj = superop.superop_to_json(superop.random_hp_map(d, d, 5))
+    obj.update(fields)
+    return obj
+
+
+def _hp_entries(entries):
+    obj = _hp_json(1)
+    obj["choi"]["entries"] = entries
+    return obj
+
+
+_MISSING_DIR = object()  # stands for an --output path in a missing directory
+_NOT_HP = superop.superop_to_json(
+    superop.from_choi(np.triu(np.ones((4, 4), dtype=complex)), 2, 2))
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(["choi", _hp_json(2, m=3)], 65, id="choi_shape_mismatch"),
+    pytest.param(["member", _hp_json(2, m=2.9), "P"], 66, id="float_dim"),
+    pytest.param(["member", _hp_json(1, m=True), "P"], 66, id="bool_dim"),
+    pytest.param(["witness", _NOT_HP, "P"], 66, id="witness_not_hp"),
+    pytest.param(["witness", "--samples", "0", _hp_json(3),
+                  "join(Pk(2),t(Pk(2)))"], 66, id="witness_samples_0"),
+    pytest.param(["verify", "--dims", "2,2", "--trials", "0"], 66, id="verify_trials_0"),
+    pytest.param(["--output", _MISSING_DIR, "dual", "P"], 66, id="output_missing_dir"),
+    pytest.param(["choi", {"kraus": 5}], 66, id="kraus_not_list"),
+    pytest.param(["member", _hp_json(2, m=[2]), "P"], 66, id="list_dim"),
+    pytest.param(["member", _hp_entries(7), "P"], 66, id="int_entries"),
+    pytest.param(["member", _hp_entries([5]), "P"], 66, id="int_entry"),
+    pytest.param(["member", _hp_entries([[5]]), "P"], 66, id="one_number_entry"),
+    pytest.param(["member", "--tol", "nan", _hp_json(2), "P"], 66, id="nan_tol"),
+    pytest.param(["member", "--tol", "-1", _hp_json(2), "P"], 66, id="negative_tol"),
+    pytest.param(["verify", "--dims", "2,2", "--trials", "3", "--tol", "nan"], 66,
+                 id="verify_nan_tol"),
+    pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "0.6",
+                  "--k", "2", "--tol", "nan"], 66, id="phi_lambda_nan_tol"),
+])
+def test_malformed_input_exits_with_its_code_and_one_error_line(capsys, tmp_path,
+                                                                argv, code):
+    def arg(i, a):
+        if a is _MISSING_DIR:
+            return str(tmp_path / "missing" / "out.json")
+        if isinstance(a, dict):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(a))
+            return str(path)
+        return a
+
+    # cli.main returns: nothing escapes it as a traceback
+    assert cli.main([arg(i, a) for i, a in enumerate(argv)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_phi_lambda_report(capsys, files):
     code, out = run(capsys, "phi-lambda", "--v", files["v3"], "--lambda", "0.4",
                     "--k", "2", "--samples", "150")

@@ -113,6 +113,20 @@ def test_config_dict_keeps_field_order():
     assert list(cfg.as_dict().items()) == list(dataclasses.asdict(cfg).items())
 
 
+@pytest.mark.parametrize("fields", [
+    {"samples": 0}, {"max_iters": 0}, {"tol": -1e-9}, {"tol": float("nan")},
+    {"tol": float("inf")},
+], ids=["samples_0", "max_iters_0", "negative_tol", "nan_tol", "inf_tol"])
+def test_config_rejects_out_of_range_fields(fields):
+    with pytest.raises(ValueError):
+        MemberConfig(**fields)
+
+
+def test_config_accepts_zero_tol_and_one_sample():
+    assert MemberConfig(tol=0.0, samples=1, max_iters=1).as_dict() == {
+        "tol": 0.0, "samples": 1, "seed": 0, "max_iters": 1}
+
+
 def test_pair_requires_hp():
     phi = superop.random_map(2, 2, RNG)
     phi = superop.from_choi(phi.choi + 1j * np.diag([1.0, 0, 0, 0]), 2, 2)

@@ -97,6 +97,28 @@ def test_matrix_json_rejects_bad_input():
         linalg.matrix_from_json({"rows": 0, "cols": 1, "entries": []})
 
 
+@pytest.mark.parametrize("obj", [
+    {"rows": True, "cols": 1, "entries": [[1, 0]]},
+    {"rows": 2.9, "cols": 1, "entries": [[1, 0], [2, 0]]},
+    {"rows": 1, "cols": [1], "entries": [[1, 0]]},
+    {"rows": 1, "cols": 1, "entries": 7},
+    {"rows": 1, "cols": 1, "entries": [5]},
+    {"rows": 1, "cols": 1, "entries": [{"re": 1, "im": 0}]},
+    {"rows": 1, "cols": 1, "entries": [[1, None]]},
+    {"rows": 1, "cols": 1, "entries": [[10**400, 0]]},
+], ids=["bool_dim", "float_dim", "list_dim", "int_entries", "int_entry",
+        "object_entry", "null_part", "huge_part"])
+def test_matrix_json_raises_value_error_never_type_error(obj):
+    # pytest.raises(ValueError) does not catch a TypeError
+    with pytest.raises(ValueError):
+        linalg.matrix_from_json(obj)
+
+
+def test_matrix_json_keeps_integral_dims_and_number_pairs():
+    obj = {"rows": np.int64(1), "cols": 2, "entries": ([1, 0], (2.5, -1))}
+    assert np.array_equal(linalg.matrix_from_json(obj), [[1, 2.5 - 1j]])
+
+
 def test_dimension_error_is_value_error():
     assert issubclass(linalg.DimensionError, ValueError)
 

@@ -159,8 +159,22 @@ def test_superop_json_rejects_wrong_choi_size():
     phi = superop.random_map(2, 2, RNG)
     obj = superop.superop_to_json(phi)
     obj["m"] = 3
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         superop.superop_from_json(obj)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", True), ("m", 2.9), ("n", [2]), ("n", "2"),
+    ("entries", 7), ("entries", [[1, 0]] * 3 + [5]),
+], ids=["bool_dim", "float_dim", "list_dim", "string_dim", "int_entries", "int_entry"])
+def test_superop_json_malformed_raises_value_error(field, value):
+    obj = superop.superop_to_json(superop.random_map(1, 2, RNG))
+    (obj["choi"] if field == "entries" else obj)[field] = value
+    # pytest.raises(ValueError) does not catch a TypeError; m = True read as
+    # 1 would pass, and 2.9 truncated to 2 would fail the Choi shape check
+    with pytest.raises(ValueError) as exc:
+        superop.superop_from_json(obj)
+    assert not isinstance(exc.value, DimensionError)
 
 
 def test_coefficient_accessor():
