@@ -569,13 +569,21 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     return found, value, sweeps
 
 
+def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witness=None,
+             **effort) -> Verdict:
+    """A :func:`member` verdict; its diagnostics are ``route``, the effort
+    keys in the order given, then ``cfg``."""
+    return Verdict(status, certificate, witness,
+                   diagnostics={"route": route, **effort, "cfg": cfg.as_dict()})
+
+
 def _dual_verdict(found, route: str, cfg: MemberConfig, **effort) -> Verdict:
     """The not-member verdict of a refuting dual element ``(psi, pairing, certificate)``."""
     psi, value, cert = found
-    return Verdict(NOT_MEMBER,
-                   witness={"type": "dual_element", "psi": psi, "psi_certificate": cert,
-                            "pairing": value},
-                   diagnostics={"route": route, **effort, "cfg": cfg.as_dict()})
+    return _verdict(NOT_MEMBER, route, cfg,
+                    witness={"type": "dual_element", "psi": psi, "psi_certificate": cert,
+                             "pairing": value},
+                    **effort)
 
 
 # ---------------------------------------------------------------------------
@@ -696,39 +704,39 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     below -eps.  Every witness is a ``dual_element``: a map ``psi`` with a
     ``psi_certificate`` and a ``pairing`` with phi below -eps (or, from SPk
     dual sampling, a ``composition_eigenvalue`` and pairing None).  A Pk(k)
-    refutation is a conjugation Ad_V, ||V|| = 1, with rank V <= k, the same
-    one :func:`witness_search` returns; CP and SPk(k) are refuted (route
-    ``not_cp``) by Ad_V for V = unvec of the lowest Choi eigenvector.  A
-    twirl returns its child's witness as psi . t, a ``twirled`` certificate
-    and the same pairing; a meet returns its child's witness unchanged, and
-    a join member that one child certifies carries that child's certificate.
+    refutation is a conjugation Ad_V, ||V|| = 1, with rank V <= k; CP and
+    SPk(k) are refuted by Ad_V for V = unvec of the lowest Choi eigenvector.
+    A twirl returns its child's witness as psi . t, a ``twirled``
+    certificate and the same pairing; a meet returns its child's witness
+    unchanged, and a join member that one child certifies carries that
+    child's certificate.
 
     join(CP, t(CP)), in either order, is decided by :func:`_decomposition`
     once neither child certifies phi: a ``hull`` certificate of a CP and a
-    twirled CP part (route ``join``), or a ``dual_element`` witness, a PPT
-    map of unit trace whose pairing with phi is below -eps (route
-    ``join_dual_witness``).  Any other join is refuted by sampled generators
-    of its dual cone.
+    twirled CP part, or a ``dual_element`` witness, a PPT map of unit trace
+    whose pairing with phi is below -eps.  Any other join is refuted by
+    sampled generators of its dual cone.
 
-    The verdict's ``diagnostics`` carry the settings (``cfg``) and, on most
-    routes, the ``route`` that decided; a join member certified by a child
-    names its ``side``.  Every join(CP, t(CP)) verdict
-    reports its ``sweeps`` (0 when a child decided); other join verdicts
-    that sampled report ``dual_samples``.  The ``vector_search`` and
-    ``projection_search`` refutations, and the Pk ``unknown`` exit, report
-    the ``sweeps`` of the Schmidt-rank-k search.  Three ``unknown`` verdicts
-    also report the closest approach their dual search found:
+    Every verdict's ``diagnostics`` hold ``route``, then the effort keys of
+    that route, then ``cfg`` (``cfg.as_dict()``):
 
-    * ``join``: ``closest_pairing``, the least pairing of phi with the dual
-      elements tried, the PPT maps of the sweeps for join(CP, t(CP)) and
-      the sampled generators otherwise (a witness needs one below -eps,
-      scaled by max|C_psi| for a sampled psi);
-    * ``Pk``: ``closest_value``, the least Choi quadratic form the
-      Schmidt-rank-k search reached, the pairing of phi with its Ad_V (a
-      witness needs one below -eps);
-    * ``SPk``: ``closest_composition_eigenvalue``, the least Choi eigenvalue
-      of psi^dagger . phi over the ``dual_samples`` sampled generators psi of
-      Pk (a witness needs one below the tolerance of that composition).
+    * ``cp_spectrum`` (CP member), ``not_cp`` (CP or SPk(k) refuted),
+      ``cp_subset``, ``family_pattern``, ``family_projection``,
+      ``co_cp_subset`` and ``eigendecomposition`` (SPk(k) member): none;
+    * ``vector_search`` (k = 1) and ``projection_search`` (k > 1), the
+      Schmidt-rank-k search on Pk(k): ``sweeps``, and on ``unknown``
+      ``closest_value``, the least Choi quadratic form it reached;
+    * ``dual_sampling`` (SPk(k) refuted, or ``unknown``): on ``unknown``,
+      ``dual_samples`` and ``closest_composition_eigenvalue``, the least Choi
+      eigenvalue of psi^dagger . phi over the sampled generators psi of Pk(k);
+    * ``twirl``: ``child``, the child cone, and ``inner``, its diagnostics;
+    * ``meet``: ``left`` and ``right``, the children's statuses;
+    * ``join`` and ``join_dual_witness``: ``side`` on a member a child
+      certifies; on ``unknown`` ``left``, ``right`` and ``closest_pairing``,
+      the least pairing of phi with the dual elements tried (the PPT maps
+      of the sweeps, or sampled generators scaled to max|C_psi| = 1); and
+      ``sweeps`` on every join(CP, t(CP)) verdict (0 when a child decided),
+      ``dual_samples`` on any other join verdict that sampled.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
@@ -749,17 +757,14 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             return _dual_verdict(found, "not_cp", cfg)
 
     if isinstance(expr, Base) and expr.kind == "CP":
-        floor = float(vals[0])
-        return Verdict(MEMBER, certificate={"type": "psd_floor", "min_eigenvalue": floor},
-                       diagnostics={"min_eigenvalue": floor, "cfg": cfg.as_dict()})
+        return _verdict(MEMBER, "cp_spectrum", cfg,
+                        certificate={"type": "psd_floor", "min_eigenvalue": float(vals[0])})
 
     if isinstance(expr, Base) and expr.kind == "Pk":
         k = expr.k
         cert = _psd_floor(vals[0], eps)
         if cert is not None:
-            return Verdict(MEMBER, certificate=cert,
-                           diagnostics={"min_eigenvalue": cert["min_eigenvalue"],
-                                        "cfg": cfg.as_dict(), "route": "cp_subset"})
+            return _verdict(MEMBER, "cp_subset", cfg, certificate=cert)
         pattern = _spectral_family_pattern(phi, vals, vecs, eps)
         if pattern is not None and pattern[0] > eps:
             a, b, w = pattern
@@ -769,11 +774,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             # with -eps, so an accepted map has no refutation; the ratio is
             # dimensionless and compares with tol itself
             if lhs <= 1.0 + cfg.tol and a - b * fan >= -eps:
-                return Verdict(MEMBER,
-                               certificate={"type": "family", "a": a, "b": b, "w": w,
-                                            "k": k, "threshold_lhs": lhs},
-                               diagnostics={"route": "family_pattern",
-                                            "cfg": cfg.as_dict()})
+                return _verdict(MEMBER, "family_pattern", cfg,
+                                certificate={"type": "family", "a": a, "b": b, "w": w,
+                                             "k": k, "threshold_lhs": lhs})
             # the top-k singular truncation of unvec(w) is the unit vector of
             # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
             u, s, vh = np.linalg.svd(unvec(w, m, n))
@@ -785,27 +788,20 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             # completely copositive maps are positive: Phi . t in CP certifies
             co = _psd_floor(linalg.hermitian_part_eigvals(phi.right_transpose().choi)[0], eps)
             if co is not None:
-                return Verdict(MEMBER, certificate={"type": "twirled", "inner": co},
-                               diagnostics={"route": "co_cp_subset",
-                                            "cfg": cfg.as_dict()})
+                return _verdict(MEMBER, "co_cp_subset", cfg,
+                                certificate={"type": "twirled", "inner": co})
         found, closest, sweeps = _conjugation_witness(phi, k, cfg)
+        route = "vector_search" if k == 1 else "projection_search"
         if found is not None:
-            return _dual_verdict(found, "vector_search" if k == 1 else "projection_search",
-                                 cfg, sweeps=sweeps)
-        return Verdict(UNKNOWN,
-                       diagnostics={"note": "refuter found no violation; "
-                                            "k-positivity certification is incomplete",
-                                    "sweeps": sweeps, "closest_value": closest,
-                                    "cfg": cfg.as_dict()})
+            return _dual_verdict(found, route, cfg, sweeps=sweeps)
+        return _verdict(UNKNOWN, route, cfg, sweeps=sweeps, closest_value=closest)
 
     if isinstance(expr, Base) and expr.kind == "SPk":
         k = expr.k
         ops = _kraus_from_eigen(phi, k, vals, vecs, eps)
         if ops is not None:
-            return Verdict(MEMBER,
-                           certificate={"type": "kraus", "ops": ops, "rank_bound": k},
-                           diagnostics={"route": "eigendecomposition",
-                                        "cfg": cfg.as_dict()})
+            return _verdict(MEMBER, "eigendecomposition", cfg,
+                            certificate={"type": "kraus", "ops": ops, "rank_bound": k})
         # phi is in SPk iff psi^dagger . phi is CP for every psi in Pk
         chois, certs = _sample_stack(Base("Pk", k), m, n, min(cfg.samples, 100),
                                      np.random.default_rng(cfg.seed + 3))
@@ -814,20 +810,14 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
         if hits.size:
             first = hits[0]
-            return Verdict(NOT_MEMBER,
-                           witness={"type": "dual_element",
-                                    "psi": SuperOperator(m, n, chois[first]),
-                                    "psi_certificate": certs[first],
-                                    "composition_eigenvalue": float(floors[first]),
-                                    "pairing": None},
-                           diagnostics={"route": "dual_sampling",
-                                        "cfg": cfg.as_dict()})
-        return Verdict(UNKNOWN,
-                       diagnostics={"note": "no rank-bounded Kraus decomposition found "
-                                            "and no sampled dual refutation",
-                                    "dual_samples": len(certs),
-                                    "closest_composition_eigenvalue": float(floors.min()),
-                                    "cfg": cfg.as_dict()})
+            return _verdict(NOT_MEMBER, "dual_sampling", cfg,
+                            witness={"type": "dual_element",
+                                     "psi": SuperOperator(m, n, chois[first]),
+                                     "psi_certificate": certs[first],
+                                     "composition_eigenvalue": float(floors[first]),
+                                     "pairing": None})
+        return _verdict(UNKNOWN, "dual_sampling", cfg, dual_samples=len(certs),
+                        closest_composition_eigenvalue=float(floors.min()))
 
     if isinstance(expr, Twirl):
         inner = member(phi.right_transpose(), expr.child, cfg)
@@ -838,57 +828,45 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             witness = dict(witness, psi=witness["psi"].right_transpose(),
                            psi_certificate={"type": "twirled",
                                             "inner": witness["psi_certificate"]})
-        return Verdict(inner.status,
-                       certificate=None if inner.certificate is None else
-                       {"type": "twirled", "inner": inner.certificate},
-                       witness=witness,
-                       diagnostics={"route": "twirl", "child": format_cone(expr.child),
-                                    "inner": inner.diagnostics})
+        return _verdict(inner.status, "twirl", cfg,
+                        certificate=None if inner.certificate is None else
+                        {"type": "twirled", "inner": inner.certificate},
+                        witness=witness, child=format_cone(expr.child),
+                        inner=inner.diagnostics)
 
     if isinstance(expr, Meet):
         left = member(phi, expr.left, cfg)
         right = member(phi, expr.right, cfg)
-        diag = {"route": "meet", "left": left.status, "right": right.status,
-                "cfg": cfg.as_dict()}
+        sides = {"left": left.status, "right": right.status}
         for v in (left, right):
             if v.status == NOT_MEMBER:
-                return Verdict(NOT_MEMBER, witness=v.witness, diagnostics=diag)
+                return _verdict(NOT_MEMBER, "meet", cfg, witness=v.witness, **sides)
         if left.status == MEMBER and right.status == MEMBER:
-            return Verdict(MEMBER,
-                           certificate={"type": "both", "left": left.certificate,
-                                        "right": right.certificate},
-                           diagnostics=diag)
-        return Verdict(UNKNOWN, diagnostics=diag)
+            return _verdict(MEMBER, "meet", cfg,
+                            certificate={"type": "both", "left": left.certificate,
+                                         "right": right.certificate}, **sides)
+        return _verdict(UNKNOWN, "meet", cfg, **sides)
 
     if isinstance(expr, Join):
         effort = {"sweeps": 0} if expr in _DECOMPOSABLE else {}
-        left = member(phi, expr.left, cfg)
-        if left.status == MEMBER:
-            return Verdict(MEMBER, certificate=left.certificate,
-                           diagnostics={"route": "join", "side": "left", **effort,
-                                        "cfg": cfg.as_dict()})
-        right = member(phi, expr.right, cfg)
-        if right.status == MEMBER:
-            return Verdict(MEMBER, certificate=right.certificate,
-                           diagnostics={"route": "join", "side": "right", **effort,
-                                        "cfg": cfg.as_dict()})
+        sides = {}
+        for side, child in (("left", expr.left), ("right", expr.right)):
+            verdict = member(phi, child, cfg)
+            if verdict.status == MEMBER:
+                return _verdict(MEMBER, "join", cfg, certificate=verdict.certificate,
+                                side=side, **effort)
+            sides[side] = verdict.status
         if expr in _DECOMPOSABLE:
             cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
             effort = {"sweeps": sweeps}
             if cert is not None:
-                return Verdict(MEMBER, certificate=cert,
-                               diagnostics={"route": "join", **effort, "cfg": cfg.as_dict()})
+                return _verdict(MEMBER, "join", cfg, certificate=cert, **effort)
         else:
             found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
             effort = {"dual_samples": cfg.samples}
         if found is not None:
             return _dual_verdict(found, "join_dual_witness", cfg, **effort)
-        return Verdict(UNKNOWN,
-                       diagnostics={"route": "join",
-                                    "note": "neither child certified and no dual witness",
-                                    "left": left.status, "right": right.status,
-                                    "closest_pairing": closest, **effort,
-                                    "cfg": cfg.as_dict()})
+        return _verdict(UNKNOWN, "join", cfg, **sides, closest_pairing=closest, **effort)
 
     raise TypeError(f"membership needs a normalized cone expression, got {expr!r}")
 
@@ -898,28 +876,17 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 # ---------------------------------------------------------------------------
 
 def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig()):
-    """Search the dual cone for Psi with pair(Psi, phi) below minus the
-    tolerance :func:`member` refutes with.
+    """The refutation of :func:`member`, as ``(psi, value, certificate)``.
 
-    Returns ``(psi, value, certificate)`` with the certificate proving
-    membership of psi in dual(expr), or None when no witness is found.  A
-    dual of CP or SPk(k) is searched for a conjugation Ad_V with rank V <= k,
-    the same one :func:`member` refutes CP or Pk(k) with.  The dual
-    meet(CP, t(CP)) of join(CP, t(CP)) is searched by the alternating
-    projections of :func:`_decomposition`, which return the PPT element
-    :func:`member` refutes with (None when they certify phi or run out of
-    sweeps).  Any other dual is searched over ``cfg.samples`` sampled
-    generators, built as one Choi stack and paired with phi in one
-    contraction, and the first generator of least pairing is returned.
+    psi lies in dual(expr), as its certificate proves, and value is the
+    witness's ``pairing`` with phi, below minus the tolerance; it is None
+    for a composition witness of SPk dual sampling.  Returns None when
+    :func:`member` does not refute phi.
     """
-    if not phi.is_hermiticity_preserving(cfg.tol):
-        raise ValueError("witness search is defined for Hermiticity-preserving maps")
-    d = dual_expr(expr)
-    if isinstance(d, Base) and d.kind in ("CP", "SPk"):
-        return _conjugation_witness(phi, min(phi.dims) if d.kind == "CP" else d.k, cfg)[0]
-    if expr in _DECOMPOSABLE:
-        return _decomposition(phi, cfg)[1]
-    return _sampled_witness(phi, d, cfg)[0]
+    witness = member(phi, expr, cfg).witness
+    if witness is None:
+        return None
+    return witness["psi"], witness["pairing"], witness["psi_certificate"]
 
 
 def _sampled_witness(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):

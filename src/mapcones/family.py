@@ -11,6 +11,7 @@ confirms each refutation on a composition Ad_E . Phi_lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class PhiLambdaSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "v", as_matrix(self.v))
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
         if not np.any(self.v):
             raise ValueError("V must be nonzero")
 

@@ -182,6 +182,10 @@ _NOT_HP = superop.superop_to_json(
                  id="verify_nan_tol"),
     pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "0.6",
                   "--k", "2", "--tol", "nan"], 66, id="phi_lambda_nan_tol"),
+    pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "nan",
+                  "--k", "2"], 66, id="phi_lambda_nan"),
+    pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "inf",
+                  "--k", "2"], 66, id="phi_lambda_inf"),
 ])
 def test_malformed_input_exits_with_its_code_and_one_error_line(capsys, tmp_path,
                                                                 argv, code):

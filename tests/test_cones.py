@@ -24,7 +24,7 @@ from mapcones.cones import (
     sample_generators,
     witness_search,
 )
-from mapcones.family import PhiLambdaSpec, build, k_positivity_threshold
+from mapcones.family import PhiLambdaSpec, build, cp_threshold, k_positivity_threshold
 from mapcones.superop import ad_map, identity_map, trace_map, transpose_map
 
 RNG = np.random.default_rng(11)
@@ -356,11 +356,11 @@ def test_unknown_verdicts_report_the_closest_approach():
                   for g, _ in gens)
     assert closest >= -CFG.tol
     assert abs(verdict.diagnostics["closest_composition_eigenvalue"] - closest) <= 1e-12
-    # Phi[2,1,0] is positive with product-vector minimum 0: the Pk exit, which
-    # names no route, reports the least quadratic form the search reached
+    # Phi[2,1,0] is positive with product-vector minimum 0: the Pk exit names
+    # its search and reports the least quadratic form the search reached
     phi = _rotated(_ckl_choi(2.0, 1.0, 0.0), 5)
     verdict = member(phi, normalize(parse_cone("P"), 3, 3), CFG)
-    assert verdict.status == UNKNOWN and "route" not in verdict.diagnostics
+    assert verdict.status == UNKNOWN and verdict.diagnostics["route"] == "vector_search"
     assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
     assert -CFG.tol <= verdict.diagnostics["closest_value"] <= 1e-9
 
@@ -551,6 +551,32 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
             assert np.array_equal(psi.choi, found[0].choi)
             assert verdict.witness["pairing"] == found[1]
     assert refuted == len(cases) - 2
+
+
+def _witness_cases():
+    v = linalg.random_complex((3, 3), np.random.default_rng(31))
+    fam = build(PhiLambdaSpec(v, 1.2 * k_positivity_threshold(v, 2)))
+    u = linalg.random_unitary(3, np.random.default_rng(8))
+    return {"meet(Pk(2),t(CP))": fam,
+            "t(Pk(2))": fam.right_transpose(),
+            "SPk(2)": superop.from_choi(ad_map(u).choi + 0.05 * np.eye(9), 3, 3)}
+
+
+@pytest.mark.parametrize("text", list(_witness_cases()))
+def test_witness_search_returns_the_refutation_of_member(text):
+    # a twirl, a meet and SPk dual sampling refute; the witness search
+    # returns that same dual element, a composition witness with value None
+    phi = _witness_cases()[text]
+    expr = normalize(parse_cone(text), 3, 3)
+    wit = member(phi, expr, CFG).witness
+    psi, value, cert = witness_search(phi, expr, CFG)
+    assert np.array_equal(psi.choi, wit["psi"].choi)
+    assert value == wit["pairing"]
+    assert (value is None) == (text == "SPk(2)")
+    # the verdict bench/run.py rebuilds from the triple passes recheck
+    rebuilt = cones.Verdict(NOT_MEMBER, witness={"type": "dual_element", "psi": psi,
+                                                 "psi_certificate": cert, "pairing": value})
+    assert recheck(phi, rebuilt)
 
 
 def _scaled(scale, phi):
@@ -774,3 +800,100 @@ def test_verdicts_are_scale_invariant_and_pass_recheck(kind, text, seed, log_sca
             if v.witness["pairing"] is not None:
                 assert (abs(v.witness["pairing"] - pair(v.witness["psi"], chi))
                         <= linalg.tolerance(chi.choi, 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# diagnostics schema: route, the route's effort keys, then cfg
+# ---------------------------------------------------------------------------
+
+def _two_positive_not_cp():
+    """Tr - lam Ad_V between the CP and 2-positivity thresholds, plus a CP
+    term that breaks the family pattern but is too small to make it CP."""
+    rng = np.random.default_rng(5)
+    v = linalg.random_complex((3, 3), rng)
+    cp_thr = cp_threshold(v)
+    lam = 0.5 * (cp_thr + k_positivity_threshold(v, 2))
+    extra = superop.random_cp_map(3, 3, rng, 2).choi
+    gap = lam / cp_thr - 1.0
+    return superop.from_choi(build(PhiLambdaSpec(v, lam)).choi
+                             + 0.5 * gap * extra / np.linalg.eigvalsh(extra)[-1], 3, 3)
+
+
+def _sum_of_rank_two_conjugations():
+    rng = np.random.default_rng(3)
+    return superop.from_kraus([linalg.random_complex((3, 2), rng)
+                               @ linalg.random_complex((2, 3), rng) for _ in range(3)])
+
+
+def _cp():
+    return superop.random_cp_map(3, 3, np.random.default_rng(0))
+
+
+def _ckl(a, b, c):
+    return superop.from_choi(_ckl_choi(a, b, c), 3, 3)
+
+
+# route, map, cone, status and the effort keys between route and cfg: one
+# case per exit of member
+SCHEMA_CASES = [
+    pytest.param("cp_spectrum", _cp, "CP", MEMBER, [], id="cp_spectrum"),
+    pytest.param("not_cp", lambda: transpose_map(3), "CP", NOT_MEMBER, [], id="not_cp"),
+    pytest.param("cp_subset", _cp, "P", MEMBER, [], id="cp_subset"),
+    pytest.param("family_pattern", lambda: build(PhiLambdaSpec(np.eye(3), 0.4)), "Pk(2)",
+                 MEMBER, [], id="family_pattern"),
+    pytest.param("family_projection", lambda: build(PhiLambdaSpec(np.eye(3), 0.6)), "Pk(2)",
+                 NOT_MEMBER, [], id="family_projection"),
+    pytest.param("co_cp_subset", lambda: transpose_map(3), "P", MEMBER, [], id="co_cp_subset"),
+    pytest.param("vector_search", lambda: _ckl(2.0, 0.8, 0.0), "P", NOT_MEMBER, ["sweeps"],
+                 id="vector_search"),
+    pytest.param("vector_search", lambda: _rotated(_ckl_choi(2.0, 1.0, 0.0), 5), "P", UNKNOWN,
+                 ["sweeps", "closest_value"], id="vector_search_unknown"),
+    pytest.param("projection_search", lambda: superop.random_hp_map(3, 3, 2), "Pk(2)",
+                 NOT_MEMBER, ["sweeps"], id="projection_search"),
+    pytest.param("projection_search", _two_positive_not_cp, "Pk(2)", UNKNOWN,
+                 ["sweeps", "closest_value"], id="projection_search_unknown"),
+    pytest.param("eigendecomposition", lambda: ad_map(np.diag([1.0, 2.0, 0.0])), "SPk(2)",
+                 MEMBER, [], id="eigendecomposition"),
+    pytest.param("dual_sampling", lambda: _witness_cases()["SPk(2)"], "SPk(2)", NOT_MEMBER,
+                 [], id="dual_sampling"),
+    pytest.param("dual_sampling", _sum_of_rank_two_conjugations, "SPk(2)", UNKNOWN,
+                 ["dual_samples", "closest_composition_eigenvalue"],
+                 id="dual_sampling_unknown"),
+    pytest.param("twirl", lambda: identity_map(3), "t(CP)", NOT_MEMBER, ["child", "inner"],
+                 id="twirl"),
+    pytest.param("meet", lambda: identity_map(3), "meet(CP,t(CP))", NOT_MEMBER,
+                 ["left", "right"], id="meet"),
+    pytest.param("join", lambda: identity_map(3), JOIN, MEMBER, ["side", "sweeps"],
+                 id="join_side"),
+    pytest.param("join", lambda: identity_map(3), "join(P,t(Pk(2)))", MEMBER, ["side"],
+                 id="join_sampled_side"),
+    pytest.param("join", lambda: _ckl(2.2, 0.8, 0.8), JOIN, MEMBER, ["sweeps"],
+                 id="join_decomposition"),
+    pytest.param("join", lambda: _ckl(2.0, 0.5, 0.5), JOIN, UNKNOWN,
+                 ["left", "right", "closest_pairing", "sweeps"], id="join_unknown"),
+    pytest.param("join_dual_witness", lambda: _rotated(_ckl_choi(2.0, 1.0, 0.0), 43), JOIN,
+                 NOT_MEMBER, ["sweeps"], id="join_dual_witness"),
+    pytest.param("join_dual_witness", lambda: superop.random_hp_map(3, 3, 1),
+                 "join(Pk(2),t(Pk(2)))", NOT_MEMBER, ["dual_samples"],
+                 id="join_dual_witness_sampled"),
+]
+
+
+def _assert_schema(diag, cfg):
+    assert list(diag)[0] == "route" and list(diag)[-1] == "cfg"
+    assert diag["cfg"] == cfg.as_dict()
+
+
+@pytest.mark.parametrize("route,build_map,text,status,effort", SCHEMA_CASES)
+def test_every_verdict_names_its_route_then_effort_then_cfg(route, build_map, text, status,
+                                                            effort):
+    phi = build_map()
+    verdict = member(phi, normalize(parse_cone(text), 3, 3), CFG)
+    assert verdict.status == status
+    diag = verdict.diagnostics
+    _assert_schema(diag, CFG)
+    assert diag["route"] == route
+    assert list(diag)[1:-1] == effort
+    if route == "twirl":
+        _assert_schema(diag["inner"], CFG)
+    assert recheck(phi, verdict)

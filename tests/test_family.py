@@ -34,8 +34,9 @@ def test_build_rectangular():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        PhiLambdaSpec(np.eye(2), -0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            PhiLambdaSpec(np.eye(2), lam)
     with pytest.raises(ValueError):
         PhiLambdaSpec(np.zeros((2, 2)), 0.5)
 
