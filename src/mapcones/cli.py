@@ -180,13 +180,17 @@ def cmd_member(args) -> int:
 def cmd_witness(args) -> int:
     phi = _read_superop(args.map)
     expr = _parse_cone_arg(args.cone, phi.m, phi.n)
-    found = cones.witness_search(phi, expr, args.cfg)
-    if found is None:
+    # member's refutation, the witness_search triple, and for a composition
+    # witness (pairing null) the negative eigenvalue that refutes
+    wit = cones.member(phi, expr, args.cfg).witness
+    if wit is None:
         _emit({"witness": None}, args)
         return EXIT_UNKNOWN
-    psi, value, cert = found
-    _emit({"witness": _jsonify(psi), "pairing": value,
-           "certificate": _jsonify(cert)}, args)
+    out = {"witness": _jsonify(wit["psi"]), "pairing": wit["pairing"],
+           "certificate": _jsonify(wit["psi_certificate"])}
+    if "composition_eigenvalue" in wit:
+        out["composition_eigenvalue"] = wit["composition_eigenvalue"]
+    _emit(out, args)
     return EXIT_MEMBER
 
 

@@ -602,7 +602,7 @@ def _psd_kraus(vals, vecs, m: int, n: int) -> list:
     return ops or [np.zeros((n, m), dtype=np.complex128)]
 
 
-def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool = False):
+def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
     """Decide phi in join(CP, t(CP)): find A >= 0 whose remainder C - A, C the
     Choi matrix of phi, lies in t(CP), i.e. (C - A)^G >= 0 for the twirl G.
 

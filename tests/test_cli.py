@@ -103,6 +103,21 @@ def test_witness_command(capsys, files):
     assert out["pairing"] < -1e-6
 
 
+def test_witness_command_prints_the_composition_eigenvalue(capsys, tmp_path):
+    # SPk(2) dual sampling refutes Ad_U + 0.05 Tr with a composition witness
+    u = linalg.random_unitary(3, np.random.default_rng(8))
+    phi = superop.from_choi(superop.ad_map(u).choi + 0.05 * np.eye(9), 3, 3)
+    path = tmp_path / "adu.json"
+    path.write_text(json.dumps(superop.superop_to_json(phi)))
+    code, out = run(capsys, "witness", str(path), "SPk(2)")
+    assert code == 0
+    assert out["pairing"] is None
+    assert out["composition_eigenvalue"] < -1e-6
+    code, verdict = run(capsys, "member", str(path), "SPk(2)")
+    assert code == 1
+    assert verdict["witness"]["composition_eigenvalue"] == out["composition_eigenvalue"]
+
+
 def test_apply_and_choi_roundtrip(capsys, files):
     code, out = run(capsys, "apply", files["t2"], files["x2"])
     assert code == 0

@@ -538,7 +538,8 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
     for phi, text in cases:
         expr = normalize(parse_cone(text), 3, 3)
         verdict = member(phi, expr, CFG)
-        found = witness_search(phi, expr, CFG)
+        # the Schmidt-rank-k search alone, without member's shortcut routes
+        found = cones._conjugation_witness(phi, expr.k, CFG)[0]
         assert (verdict.status == NOT_MEMBER) == (found is not None), text
         if found is None:
             continue
@@ -592,14 +593,15 @@ def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
     # the family map just above its k = 2 threshold, at three scales.  At
     # (1 + 5e-10) times the threshold (b/a) fan_2(w) is 1 + 5e-10 and the
     # pairing a - b fan_2(w) is -5e-10 a, both within tol: family_pattern
-    # accepts and witness_search finds nothing.  At (1 + 5e-9) times it both
-    # refute.  The tolerance is relative, so the scale changes neither answer.
+    # accepts and the Schmidt-rank-2 search finds nothing.  At (1 + 5e-9)
+    # times both refute.  The tolerance is relative, so the scale changes neither answer.
     expr = normalize(parse_cone("Pk(2)"), 3, 3)
     for excess in (5e-10, 5e-9):
         for scale in (1.0, 1e3, 1e-3):
             phi = _scaled(scale, _family_above_threshold(excess))
             verdict = member(phi, expr, CFG)
-            found = witness_search(phi, expr, CFG)
+            # the Schmidt-rank-2 search alone, independent of the pattern
+            found = cones._conjugation_witness(phi, 2, CFG)[0]
             if excess < CFG.tol:
                 assert verdict.status == MEMBER, scale
                 assert verdict.diagnostics["route"] == "family_pattern"
@@ -690,7 +692,7 @@ def test_decomposition_decides_wherever_sampling_refutes():
             by_sampling, _ = cones._sampled_witness(phi, dual_expr(expr), CFG)
             verdict = member(phi, expr, CFG)
             assert recheck(phi, verdict)
-            cert, found, _, _ = cones._decomposition(phi, CFG)
+            cert, found, _, _ = cones._decomposition(phi, CFG, False)
             engine += cert is not None or found is not None
             if found is not None:
                 # here the lift delta * I is needed in some maps
@@ -707,13 +709,15 @@ def test_member_and_witness_search_refute_join_with_the_same_element():
     for i, abc in enumerate(INDECOMPOSABLE):
         phi = _rotated(_ckl_choi(*abc), 50 + i)
         verdict = member(phi, expr, CFG)
-        psi, value, cert = witness_search(phi, expr, CFG)
+        # the projection engine alone, without member's child verdicts
+        psi, value, cert = cones._decomposition(phi, CFG, False)[1]
         assert np.array_equal(verdict.witness["psi"].choi, psi.choi)
         assert verdict.witness["pairing"] == value
         assert cert is not None
     # a decomposable map has no witness
-    assert witness_search(superop.from_choi(_ckl_choi(2.0, 0.6, 0.6), 3, 3),
-                          expr, CFG) is None
+    cert, found, _, _ = cones._decomposition(superop.from_choi(_ckl_choi(2.0, 0.6, 0.6), 3, 3),
+                                             CFG, False)
+    assert cert is not None and found is None
 
 
 def test_decomposition_output_is_byte_identical_for_a_seed():
