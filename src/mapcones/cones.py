@@ -279,32 +279,29 @@ class MemberConfig:
     a verdict on a map with Choi matrix C compares with
     ``linalg.tolerance(C, tol) = tol * max|C_ij|``, so it does not change
     when the map is scaled by a positive number.  ``samples`` bounds the
-    sampled generators, ``seed`` fixes every random start, and ``max_iters``
-    is the upper bound on the sweeps of both iterative searches: the
+    sampled generators and ``seed`` fixes every random start.  Both
+    iterative searches take at most ``linalg.MAX_SWEEPS`` sweeps: the
     Schmidt-rank-k minimization (it stops earlier once every restart has
     settled, or once its best restart has settled and either lies below
     minus the tolerance or no restart can reach it in the sweeps left at
     its current per-sweep drop) and the alternating projections that decide
     join(CP, t(CP)) (they stop at the first certificate or witness).
-    A config with ``samples`` or ``max_iters`` below 1, or with a ``tol``
-    that is negative or not finite, raises ValueError.
+    A config with ``samples`` below 1, or with a ``tol`` that is negative
+    or not finite, raises ValueError.
     """
 
     tol: float = 1e-9
     samples: int = 500
     seed: int = 0
-    max_iters: int = 60
 
     def __post_init__(self):
-        for name in ("samples", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def as_dict(self) -> dict:
-        return {"tol": self.tol, "samples": self.samples, "seed": self.seed,
-                "max_iters": self.max_iters}
+        return {"tol": self.tol, "samples": self.samples, "seed": self.seed}
 
 
 MEMBER = "member"
@@ -372,12 +369,15 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     """Sample ``count`` maps provably inside the cone as one Choi stack.
 
     Returns ``(chois, certs)``: a ``(count, m*n, m*n)`` array and one
-    provenance certificate per map, which :func:`recheck` verifies.  Base
-    cones draw all their random operators at once, a twirl transposes the
-    whole stack and a join mixes two stacks with Dirichlet weights.  A meet
-    samples each side and keeps the maps :func:`_admit` certifies in the
-    other side (or all of them when the other side includes it), then tops
-    up with rank-one conjugations, which lie in every mcs-cone.
+    certificate per map, which :func:`recheck` verifies.  Base cones draw
+    all their random operators at once, and a twirl transposes the whole
+    stack.  A join mixes two stacks with Dirichlet weights into a ``hull``
+    whose parts carry their Choi matrices and certificates.  A meet samples
+    each side and keeps the maps :func:`_admit` certifies in the other side,
+    each with a ``both`` certificate whose ``left`` and ``right`` follow the
+    meet's sides, or all of them with their own certificates when the other
+    side includes it; it then tops up with rank-one conjugations, which lie
+    in every mcs-cone.
     """
     kmax = min(m, n)
     if isinstance(expr, Base) and expr.kind == "SPk":
@@ -428,18 +428,22 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         left, left_certs = _sample_stack(expr.left, m, n, count, rng)
         right, right_certs = _sample_stack(expr.right, m, n, count, rng)
         weights = rng.dirichlet((1.0, 1.0), size=count)
-        left *= weights[:, 0, None, None]
-        left += weights[:, 1, None, None] * right
-        return left, [{"type": "hull", "weights": (float(w1), float(w2)), "parts": [c1, c2]}
-                      for (w1, w2), c1, c2 in zip(weights, left_certs, right_certs)]
+        mixed = weights[:, 0, None, None] * left + weights[:, 1, None, None] * right
+        parts = [[{"choi": choi, "certificate": cert} for choi, cert in zip(stack, certs)]
+                 for stack, certs in ((left, left_certs), (right, right_certs))]
+        return mixed, [{"type": "hull", "weights": (float(w1), float(w2)), "parts": [p1, p2]}
+                       for (w1, w2), p1, p2 in zip(weights, *parts)]
     if isinstance(expr, Meet):
         cfg = MemberConfig(samples=50, seed=int(rng.integers(2**31)))
         kept, certs = [], []
-        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
+        for flip, (side, other) in enumerate(((expr.left, expr.right), (expr.right, expr.left))):
             if len(certs) < count:
-                chois, side_certs = _admit(side, other, m, n, count - len(certs), rng, cfg)
+                chois, pairs = _admit(side, other, m, n, count - len(certs), rng, cfg)
                 kept.append(chois)
-                certs += side_certs
+                for cert, other_cert in pairs:
+                    left_cert, right_cert = (other_cert, cert) if flip else (cert, other_cert)
+                    certs.append(cert if other_cert is None else
+                                 {"type": "both", "left": left_cert, "right": right_cert})
         if len(certs) < count:
             # rank-one conjugations lie in every mcs-cone
             chois, rank_one = _sample_stack(Base("SPk", 1), m, n, count - len(certs), rng)
@@ -452,17 +456,18 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
 def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
            cfg: MemberConfig):
     """``count`` samples of ``side`` cut down to those that lie in ``other``
-    too: a Choi stack with their ``meet`` certificates.
+    too: a Choi stack and, per kept sample, the pair of its certificate in
+    ``side`` and its certificate in ``other``.
 
-    Samples need no check when ``other`` includes ``side``, and keep their
-    own certificates.  CP and t(CP) certify the whole stack with one
-    Hermiticity check and one batched spectrum, the stacked form of
-    :func:`member`'s CP verdict; any other cone calls :func:`member` per
-    sample.
+    Samples need no check when ``other`` includes ``side``; then every
+    sample is kept, with None for its certificate in ``other``.  CP and
+    t(CP) certify the whole stack with one Hermiticity check and one batched
+    spectrum, the stacked form of :func:`member`'s CP verdict; any other
+    cone calls :func:`member` per sample.
     """
     chois, certs = _sample_stack(side, m, n, count, rng)
     if includes(other, side):
-        return chois, certs
+        return chois, [(c, None) for c in certs]
     twirled = isinstance(other, Twirl)
     if (other.child if twirled else other) != Base("CP"):
         others = []
@@ -485,8 +490,7 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
         if twirled:
             others = [None if o is None else {"type": "twirled", "inner": o} for o in others]
             kept = superop.twirl_stack(kept, m, n)
-    return kept, [{"type": "meet", "part": c, "other_cert": o}
-                  for c, o in zip(certs, others) if o is not None]
+    return kept, [(c, o) for c, o in zip(certs, others) if o is not None]
 
 
 def _sample_with_certs(expr: ConeExpr, m: int, n: int, count: int, rng):
@@ -541,9 +545,8 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     Returns ``(found, value, sweeps)``: found is ``(Ad_V, <Ad_V, phi>,
     certificate)`` when the pairing ``value`` is below -eps, eps the
     ``linalg.tolerance`` of the Choi matrix, and None otherwise.  V is the
-    given n x m operator, of unit norm; without one it is the lowest Choi
-    eigenvector at k = min(m, n), and otherwise the minimizer of the Choi
-    quadratic form over unit vectors of Schmidt rank <= k, found in
+    given n x m operator, of unit norm; without one it is the minimizer of
+    the Choi quadratic form over unit vectors of Schmidt rank <= k, found in
     ``sweeps`` sweeps (0 when no search ran).  The minimizer stops once its
     best restart has settled below -eps, the only comparison made here, or,
     with every value above -eps, once no restart falls fast enough to reach
@@ -553,11 +556,9 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     m, n = phi.dims
     eps = linalg.tolerance(phi.choi, cfg.tol)
     sweeps = 0
-    if v is None and k == min(m, n):
-        v = unvec(linalg.hermitian_part_eigen(phi.choi)[1][:, 0], m, n)
-    elif v is None:
+    if v is None:
         _, x, y, sweeps = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                                  cfg.max_iters, cfg.seed + 1,
+                                                  linalg.MAX_SWEEPS, cfg.seed + 1,
                                                   stop_below=-eps)
         v = x @ y
     # <Ad_V, phi> is the Choi quadratic form at vec(V)
@@ -595,13 +596,6 @@ _CP = Base("CP")
 _DECOMPOSABLE = (Join(_CP, Twirl(_CP)), Join(Twirl(_CP), _CP))
 
 
-def _psd_kraus(vals, vecs, m: int, n: int) -> list:
-    """Kraus operators sqrt(lambda) unvec(v) of the eigenpairs with lambda > 0;
-    the zero map gets one zero operator, an empty decomposition."""
-    ops = [unvec(np.sqrt(val) * vec, m, n) for val, vec in zip(vals, vecs.T) if val > 0]
-    return ops or [np.zeros((n, m), dtype=np.complex128)]
-
-
 def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
     """Decide phi in join(CP, t(CP)): find A >= 0 whose remainder C - A, C the
     Choi matrix of phi, lies in t(CP), i.e. (C - A)^G >= 0 for the twirl G.
@@ -614,35 +608,37 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
     on the second set (at A = C), and it has two exits:
 
     * feasible: A >= 0, so phi is the hull, weights (1, 1), of the CP map A
-      and the twirled CP map (C - A)^G (in the order of the join when
-      ``twirl_first``);
+      and the twirled CP map C - A, whose twirl is the clipped X of the last
+      sweep.  Each part carries its Choi matrix and a ``psd_floor`` (for
+      C - A a ``twirled`` one), in the order of the join when
+      ``twirl_first``;
     * infeasible: the displacement y - z between the clipped iterate y and
       its projection z is G(X_-), X_- the negative part of X = G(C - y).  Its
       partial transpose X_- is PSD; lifted by delta * I, delta =
       max(0, -lambda_min), and scaled to unit trace it is a PPT rho, a
-      generator of the dual cone meet(CP, t(CP)).  <rho, C> below
-      -``linalg.tolerance(C)`` refutes phi.
+      generator of the dual cone meet(CP, t(CP)), certified by ``both`` a
+      ``psd_floor`` and a ``twirled`` one, in the order of that meet.
+      <rho, C> below -``linalg.tolerance(C)`` refutes phi.
 
     Returns ``(certificate, found, sweeps, closest)``: the hull certificate
     or the refuting ``(psi, pairing, certificate)`` (at most one of them, both
-    None after ``cfg.max_iters`` sweeps), the sweeps taken, and the least
+    None after ``linalg.MAX_SWEEPS`` sweeps), the sweeps taken, and the least
     pairing of phi with the dual elements rho tried.
     """
     m, n = phi.dims
-    kmax = min(m, n)
     c = phi.choi
     eps = linalg.tolerance(c, cfg.tol)
     floor = 1e-6 * float(np.max(np.abs(c)))
-    # (C - A)^G as clipped eigenpairs; zero at the start, A = C
-    a, rest_vals, rest_vecs = c, np.zeros(m * n), np.eye(m * n)
+    # C - A and the least eigenvalue of its twirl; zero at the start, A = C
+    rest, rest_floor = np.zeros_like(c), 0.0
     closest = np.inf
-    for sweep in range(1, cfg.max_iters + 1):
+    for sweep in range(1, linalg.MAX_SWEEPS + 1):
+        a = c - rest
         vals, vecs = linalg.hermitian_part_eigen(a)
         if vals[0] >= 0:
-            parts = [{"type": "kraus", "ops": _psd_kraus(vals, vecs, m, n), "rank_bound": kmax},
-                     {"type": "twirled",
-                      "inner": {"type": "kraus", "ops": _psd_kraus(rest_vals, rest_vecs, m, n),
-                                "rank_bound": kmax}}]
+            parts = [{"choi": a, "certificate": _floor_cert(vals[0])},
+                     {"choi": rest,
+                      "certificate": {"type": "twirled", "inner": _floor_cert(rest_floor)}}]
             cert = {"type": "hull", "weights": (1.0, 1.0),
                     "parts": parts[::-1] if twirl_first else parts}
             return cert, None, sweep, closest
@@ -651,7 +647,8 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
         neg = np.maximum(-x_vals, 0.0)
         if neg[0] > 0:
             rho = superop.twirl_stack((x_vecs * neg) @ x_vecs.conj().T, m, n)
-            delta = max(0.0, -float(linalg.hermitian_part_eigvals(rho)[0]))
+            low = float(linalg.hermitian_part_eigvals(rho)[0])
+            delta = max(0.0, -low)
             scale = neg.sum() + delta * m * n
             rho = (rho + delta * np.eye(m * n)) / scale
             # <rho, C> as pair(psi, phi) computes it
@@ -659,36 +656,41 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
             closest = min(closest, value)
             if value < -eps:
                 psi = SuperOperator(m, n, rho)
-                cert = {"type": "meet",
-                        "part": {"type": "kraus",
-                                 "ops": _psd_kraus(*linalg.hermitian_part_eigen(rho), m, n),
-                                 "rank_bound": kmax},
-                        "other_cert": {"type": "twirled",
-                                       "inner": {"type": "psd_floor",
-                                                 "min_eigenvalue": (neg[-1] + delta) / scale}}}
+                sides = [_floor_cert((low + delta) / scale),
+                         {"type": "twirled", "inner": _floor_cert((neg[-1] + delta) / scale)}]
+                left, right = sides[::-1] if twirl_first else sides
+                cert = {"type": "both", "left": left, "right": right}
                 return None, (psi, pair(psi, phi, cfg.tol), cert), sweep, closest
-        rest_vals, rest_vecs = np.maximum(x_vals, 0.0), x_vecs
-        a = c - superop.twirl_stack((x_vecs * rest_vals) @ x_vecs.conj().T, m, n)
-    return None, None, cfg.max_iters, closest
+        rest_vals = np.maximum(x_vals, 0.0)
+        rest = superop.twirl_stack((x_vecs * rest_vals) @ x_vecs.conj().T, m, n)
+        rest_floor = rest_vals[0]
+    return None, None, linalg.MAX_SWEEPS, closest
 
 
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------
 
+def _floor_cert(val) -> dict:
+    """The ``psd_floor`` certificate of a least Choi eigenvalue ``val``."""
+    return {"type": "psd_floor", "min_eigenvalue": float(val)}
+
+
 def _psd_floor(val, eps: float) -> Optional[dict]:
-    """The ``psd_floor`` certificate of a least Choi eigenvalue ``val`` no
-    lower than minus the tolerance ``eps`` of the Choi matrix, else None."""
-    return {"type": "psd_floor", "min_eigenvalue": float(val)} if val >= -eps else None
+    """:func:`_floor_cert` of a least Choi eigenvalue ``val`` no lower than
+    minus the tolerance ``eps`` of the Choi matrix, else None."""
+    return _floor_cert(val) if val >= -eps else None
 
 
 def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, eps: float):
     """The Kraus operators sqrt(lambda) unvec(v) of the Choi eigenpairs
     ``(vals, vecs)``, eigenvalues within the tolerance ``eps`` of the Choi
-    matrix taken as zero, when all their ranks are <= k, else None."""
+    matrix taken as zero, when all their ranks are <= k, else None.  The
+    zero map gets one zero operator, an empty decomposition."""
     if vals[0] < -eps:
         return None
-    ops = _psd_kraus(np.where(vals > eps, vals, 0.0), vecs, phi.m, phi.n)
+    ops = [unvec(np.sqrt(val) * vec, phi.m, phi.n) for val, vec in zip(vals, vecs.T) if val > eps]
+    ops = ops or [np.zeros((phi.n, phi.m), dtype=np.complex128)]
     if any(linalg.numerical_rank(op) > k for op in ops):
         return None
     return ops
@@ -757,8 +759,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             return _dual_verdict(found, "not_cp", cfg)
 
     if isinstance(expr, Base) and expr.kind == "CP":
-        return _verdict(MEMBER, "cp_spectrum", cfg,
-                        certificate={"type": "psd_floor", "min_eigenvalue": float(vals[0])})
+        return _verdict(MEMBER, "cp_spectrum", cfg, certificate=_floor_cert(vals[0]))
 
     if isinstance(expr, Base) and expr.kind == "Pk":
         k = expr.k
@@ -925,8 +926,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
         omg = superop.random_cp_map(m, m, rng, kraus_count)
         composite = ups.compose(g).compose(omg)
         verdict = member(composite, expr, MemberConfig(tol=cfg.tol, samples=50,
-                                                      seed=cfg.seed + i,
-                                                      max_iters=cfg.max_iters))
+                                                      seed=cfg.seed + i))
         statuses[verdict.status] += 1
         if verdict.status == NOT_MEMBER:
             violations.append(i)
@@ -959,25 +959,6 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
 # Independent re-verification of verdicts
 # ---------------------------------------------------------------------------
 
-def _rebuild(cert: dict, m: int, n: int) -> SuperOperator:
-    """The m -> n map a generator certificate of :func:`_sample_with_certs` describes."""
-    kind = cert["type"]
-    if kind == "kraus":
-        return from_kraus(cert["ops"])
-    if kind == "family":
-        w = cert["w"]
-        return SuperOperator(m, n, cert["a"] * np.eye(m * n) - cert["b"] * np.outer(w, w.conj()))
-    if kind == "twirled":
-        return _rebuild(cert["inner"], m, n).right_transpose()
-    if kind == "hull":
-        choi = sum(w * _rebuild(part, m, n).choi
-                   for w, part in zip(cert["weights"], cert["parts"]))
-        return SuperOperator(m, n, choi)
-    if kind == "meet":
-        return _rebuild(cert["part"], m, n)
-    raise ValueError(f"certificate type {kind!r} does not describe a generator")
-
-
 def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     eps = linalg.tolerance(phi.choi, tol)
     kind = cert["type"]
@@ -1000,18 +981,16 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     if kind == "twirled":
         return _recheck_certificate(phi.right_transpose(), cert["inner"], tol)
     if kind == "both":
-        return (_recheck_certificate(phi, cert["left"], tol)
-                and _recheck_certificate(phi, cert["right"], tol))
+        sides = (cert.get("left"), cert.get("right"))
+        return all(side is not None and _recheck_certificate(phi, side, tol) for side in sides)
     if kind == "hull":
         m, n = phi.dims
-        if min(cert["weights"]) < 0 or not phi.isclose(_rebuild(cert, m, n), eps):
+        parts = [SuperOperator(m, n, part["choi"]) for part in cert["parts"]]
+        combined = SuperOperator(m, n, sum(w * p.choi for w, p in zip(cert["weights"], parts)))
+        if min(cert["weights"]) < 0 or not phi.isclose(combined, eps):
             return False
-        return all(_recheck_certificate(_rebuild(part, m, n), part, tol)
-                   for part in cert["parts"])
-    if kind == "meet":
-        other = cert.get("other_cert")
-        return (other is not None and _recheck_certificate(phi, cert["part"], tol)
-                and _recheck_certificate(phi, other, tol))
+        return all(_recheck_certificate(p, part["certificate"], tol)
+                   for p, part in zip(parts, cert["parts"]))
     raise ValueError(f"unknown certificate type {kind!r}")
 
 
@@ -1032,16 +1011,21 @@ def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
 def recheck(phi: SuperOperator, verdict: Verdict, tol: float = 1e-9) -> bool:
     """Re-verify a verdict's certificate or witness from scratch.
 
-    ``tol`` is relative, as in :func:`member`: an eigenvalue floor or a
-    rebuilt certificate (``kraus``, ``family``, ``hull``) matches within
+    Each certificate kind is checked on the map it is given, or on a map the
+    certificate itself carries; no map is rebuilt from a description.
+    ``tol`` is relative, as in :func:`member`: an eigenvalue floor, the Choi
+    matrix of ``kraus`` operators or of a ``family`` pattern, and the
+    weighted sum of a ``hull``'s part Choi matrices match within
     ``linalg.tolerance`` of the Choi matrix, and a dimensionless ratio such
-    as the ``family`` threshold within tol itself.  A witness value must lie
-    below half the tolerance :func:`member` refutes with, the only slack
-    left.  No check depends on the scale of phi.  The one witness kind is
+    as the ``family`` threshold within tol itself.  A ``hull`` needs weights
+    >= 0 and each part's ``certificate`` to hold on the map of that part's
+    ``choi``; a ``both`` needs a ``left`` and a ``right`` that hold on phi;
+    a ``family`` needs ``k`` and a > 0.  A witness value must lie below half
+    the tolerance :func:`member` refutes with, the only slack left.  No
+    check depends on the scale of phi.  The one witness kind is
     ``dual_element``: its ``psi_certificate`` is rechecked on psi, then its
     pairing with phi, or the least Choi eigenvalue of psi^dagger . phi when
-    the pairing is None.  A ``meet`` certificate must carry ``other_cert`` and
-    a ``family`` certificate ``k`` and a > 0.
+    the pairing is None.
     """
     if verdict.status == MEMBER:
         return verdict.certificate is not None and _recheck_certificate(

@@ -92,7 +92,8 @@ def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, seed, tol: float = 1e-
     phi = build(spec)
     eps = linalg.tolerance(phi.choi, tol)
     quad, x, _, _ = linalg.schmidt_rank_min(phi.choi, m, n, k,
-                                            restarts=linalg.SCHMIDT_RESTARTS, max_iters=60,
+                                            restarts=linalg.SCHMIDT_RESTARTS,
+                                            max_iters=linalg.MAX_SWEEPS,
                                             seed=seed, stop_below=-eps)
     if quad < -eps:
         e = x @ x.conj().T

@@ -116,6 +116,9 @@ def _hermitian_part(m):
 _SWEEP_DROP = 1e-12
 # Restarts of the Schmidt-rank-k searches built on schmidt_rank_min.
 SCHMIDT_RESTARTS = 8
+# Sweep budget of the package's iterative searches: the Schmidt-rank-k
+# minimizations and the alternating projections of join(CP, t(CP)).
+MAX_SWEEPS = 60
 
 
 def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int, seed,

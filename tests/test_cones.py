@@ -109,22 +109,20 @@ def test_includes_chain():
 # ---------------------------------------------------------------------------
 
 def test_config_dict_keeps_field_order():
-    cfg = MemberConfig(tol=1e-7, samples=3, seed=5, max_iters=9)
+    cfg = MemberConfig(tol=1e-7, samples=3, seed=5)
     assert list(cfg.as_dict().items()) == list(dataclasses.asdict(cfg).items())
 
 
 @pytest.mark.parametrize("fields", [
-    {"samples": 0}, {"max_iters": 0}, {"tol": -1e-9}, {"tol": float("nan")},
-    {"tol": float("inf")},
-], ids=["samples_0", "max_iters_0", "negative_tol", "nan_tol", "inf_tol"])
+    {"samples": 0}, {"tol": -1e-9}, {"tol": float("nan")}, {"tol": float("inf")},
+], ids=["samples_0", "negative_tol", "nan_tol", "inf_tol"])
 def test_config_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
         MemberConfig(**fields)
 
 
 def test_config_accepts_zero_tol_and_one_sample():
-    assert MemberConfig(tol=0.0, samples=1, max_iters=1).as_dict() == {
-        "tol": 0.0, "samples": 1, "seed": 0, "max_iters": 1}
+    assert MemberConfig(tol=0.0, samples=1).as_dict() == {"tol": 0.0, "samples": 1, "seed": 0}
 
 
 def test_pair_requires_hp():
@@ -259,7 +257,40 @@ def test_sampled_generators_carry_sound_certificates(text):
         pairs = cones._sample_with_certs(expr, m, n, 12, rng)
         assert len(pairs) == 12
         for g, cert in pairs:
+            assert {node["type"] for node in _certificate_nodes(cert)} <= CERTIFICATE_KINDS
             assert recheck(g, cones.Verdict(MEMBER, certificate=cert)), (m, n, cert)
+
+
+# one certificate kind per cone former: CP, SPk, Pk, t, meet, join
+CERTIFICATE_KINDS = {"psd_floor", "kraus", "family", "twirled", "both", "hull"}
+
+
+def _certificate_nodes(cert):
+    """The certificates of a tree, its root first; every hull part must be
+    its Choi matrix and its certificate."""
+    yield cert
+    if cert["type"] == "twirled":
+        yield from _certificate_nodes(cert["inner"])
+    if cert["type"] == "both":
+        yield from _certificate_nodes(cert["left"])
+        yield from _certificate_nodes(cert["right"])
+    if cert["type"] == "hull":
+        for part in cert["parts"]:
+            assert set(part) == {"choi", "certificate"}
+            yield from _certificate_nodes(part["certificate"])
+
+
+@pytest.mark.parametrize("text,twirled", [("meet(Pk(2),t(CP))", [False, True]),
+                                          ("meet(t(CP),Pk(2))", [True, False])])
+def test_sampled_meet_certificates_follow_the_meet_sides(text, twirled):
+    # each side of a both certificate proves the meet's side of that name;
+    # the rank-one conjugations that top the sample up carry kraus ones
+    expr = normalize(parse_cone(text), 3, 3)
+    pairs = cones._sample_with_certs(expr, 3, 3, 12, np.random.default_rng(5))
+    both = [cert for _, cert in pairs if cert["type"] == "both"]
+    assert both
+    for cert in both:
+        assert [cert[side]["type"] == "twirled" for side in ("left", "right")] == twirled
 
 
 def test_generator_sampling_deterministic():
@@ -332,7 +363,7 @@ def test_unknown_verdicts_report_the_closest_approach():
     verdict = member(phi, expr, CFG)
     assert verdict.status == NOT_MEMBER
     assert verdict.diagnostics["route"] == "join_dual_witness"
-    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+    assert 1 <= verdict.diagnostics["sweeps"] <= linalg.MAX_SWEEPS
     assert recheck(phi, verdict)
     # Phi[2,.5,.5] sits on the boundary, b c = ((3 - a) / 2)^2: every sweep
     # runs, and the PPT elements tried approach a zero pairing from above
@@ -341,7 +372,7 @@ def test_unknown_verdicts_report_the_closest_approach():
     assert verdict.status == UNKNOWN
     diag = verdict.diagnostics
     assert diag["route"] == "join" and "dual_samples" not in diag
-    assert diag["sweeps"] == CFG.max_iters
+    assert diag["sweeps"] == linalg.MAX_SWEEPS
     assert -CFG.tol <= diag["closest_pairing"] <= 1e-6
     # a sum of three rank-2 conjugations lies in SPk(2), so no dual refutes it
     rng = np.random.default_rng(3)
@@ -361,7 +392,7 @@ def test_unknown_verdicts_report_the_closest_approach():
     phi = _rotated(_ckl_choi(2.0, 1.0, 0.0), 5)
     verdict = member(phi, normalize(parse_cone("P"), 3, 3), CFG)
     assert verdict.status == UNKNOWN and verdict.diagnostics["route"] == "vector_search"
-    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+    assert 1 <= verdict.diagnostics["sweeps"] <= linalg.MAX_SWEEPS
     assert -CFG.tol <= verdict.diagnostics["closest_value"] <= 1e-9
 
 
@@ -403,11 +434,15 @@ def _kraus_cert(op, rank_bound):
     return {"type": "kraus", "ops": [op], "rank_bound": rank_bound}
 
 
+def _part(phi, cert):
+    return {"choi": phi.choi, "certificate": cert}
+
+
 def test_recheck_rejects_hull_of_other_maps():
     # the transposition is not CP, so no hull of identity maps reproduces it
     eye = np.eye(2, dtype=complex)
-    cert = {"type": "hull", "weights": (0.5, 0.5),
-            "parts": [_kraus_cert(eye, 2), _kraus_cert(eye, 2)]}
+    part = _part(identity_map(2), _kraus_cert(eye, 2))
+    cert = {"type": "hull", "weights": (0.5, 0.5), "parts": [part, part]}
     assert not recheck(transpose_map(2), cones.Verdict(MEMBER, certificate=cert))
     assert recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
 
@@ -416,10 +451,27 @@ def test_recheck_rejects_hull_with_an_unsound_part():
     # the combination matches, but a rank-2 Kraus operator breaks rank_bound 1
     eye = np.eye(2, dtype=complex)
     cert = {"type": "hull", "weights": (0.5, 0.5),
-            "parts": [_kraus_cert(eye, 2), _kraus_cert(eye, 1)]}
+            "parts": [_part(identity_map(2), _kraus_cert(eye, 2)),
+                      _part(identity_map(2), _kraus_cert(eye, 1))]}
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
-    negative = dict(cert, weights=(1.5, -0.5), parts=[_kraus_cert(eye, 2)] * 2)
+    negative = dict(cert, weights=(1.5, -0.5),
+                    parts=[_part(identity_map(2), _kraus_cert(eye, 2))] * 2)
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=negative))
+
+
+def test_recheck_rejects_hull_part_that_fails_its_own_certificate():
+    # phi = (T + I) / 2, T the transposition: the weights and Choi matrices
+    # match, but T is not CP, so a psd_floor of T must fail on T itself
+    t, eye = transpose_map(2), identity_map(2)
+    phi = superop.from_choi((t.choi + eye.choi) / 2, 2, 2)
+    id_kraus = _kraus_cert(np.eye(2, dtype=complex), 2)
+    cert = {"type": "hull", "weights": (0.5, 0.5),
+            "parts": [_part(t, {"type": "psd_floor", "min_eigenvalue": 0.0}),
+                      _part(eye, id_kraus)]}
+    assert not recheck(phi, cones.Verdict(MEMBER, certificate=cert))
+    # T . t is the identity, so T is the twirl of a Kraus map
+    cert["parts"][0] = _part(t, {"type": "twirled", "inner": id_kraus})
+    assert recheck(phi, cones.Verdict(MEMBER, certificate=cert))
 
 
 def test_recheck_rejects_family_certificate_without_positive_a():
@@ -432,9 +484,8 @@ def test_recheck_rejects_family_certificate_without_positive_a():
 
 
 def test_recheck_rejects_meet_certificate_without_other_cert():
-    # a meet certificate proves nothing of its other side without other_cert
-    cert = {"type": "meet", "part": _kraus_cert(np.eye(2, dtype=complex), 2),
-            "via": "inclusion"}
+    # a meet certificate, ``both``, proves nothing of a side it lacks
+    cert = {"type": "both", "left": _kraus_cert(np.eye(2, dtype=complex), 2)}
     assert not recheck(identity_map(2), cones.Verdict(MEMBER, certificate=cert))
 
 
@@ -489,7 +540,7 @@ def _assert_conjugation_witness(phi, verdict, route, k):
     assert wit["pairing"] < -linalg.tolerance(phi.choi, CFG.tol)
     assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= linalg.tolerance(phi.choi, 1e-12)
     if route in ("vector_search", "projection_search"):
-        assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
+        assert 1 <= verdict.diagnostics["sweeps"] <= linalg.MAX_SWEEPS
     assert recheck(phi, verdict)
 
 
@@ -644,16 +695,20 @@ INDECOMPOSABLE = [(2.0, 1.0, 0.0), (2.05, 1.05, 0.05)]
 @pytest.mark.parametrize("abc", INDECOMPOSABLE)
 def test_decomposition_refutes_indecomposable_cho_kye_lee_maps(abc):
     phi = _rotated(_ckl_choi(*abc), 43)
-    verdict = member(phi, normalize(parse_cone(JOIN), 3, 3), CFG)
-    assert verdict.status == NOT_MEMBER
-    assert verdict.diagnostics["route"] == "join_dual_witness"
-    assert 1 <= verdict.diagnostics["sweeps"] <= CFG.max_iters
-    wit = verdict.witness
-    _assert_ppt(wit["psi"])
-    assert wit["psi_certificate"]["type"] == "meet"
-    assert wit["pairing"] < -CFG.tol
-    assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
-    assert recheck(phi, verdict)
+    # psi's certificate follows the sides of the dual meet
+    for text, twirled in ((JOIN, [False, True]), ("join(t(CP),CP)", [True, False])):
+        verdict = member(phi, normalize(parse_cone(text), 3, 3), CFG)
+        assert verdict.status == NOT_MEMBER
+        assert verdict.diagnostics["route"] == "join_dual_witness"
+        assert 1 <= verdict.diagnostics["sweeps"] <= linalg.MAX_SWEEPS
+        wit = verdict.witness
+        _assert_ppt(wit["psi"])
+        cert = wit["psi_certificate"]
+        assert cert["type"] == "both"
+        assert [cert[side]["type"] == "twirled" for side in ("left", "right")] == twirled
+        assert wit["pairing"] < -CFG.tol
+        assert abs(wit["pairing"] - pair(wit["psi"], phi)) <= 1e-12
+        assert recheck(phi, verdict)
 
 
 @pytest.mark.parametrize("abc", [(2.0, 0.6, 0.6), (2.5, 0.3, 0.3), (2.2, 0.8, 0.8)])
@@ -666,7 +721,7 @@ def test_decomposition_certifies_decomposable_cho_kye_lee_maps(abc):
         assert verdict.diagnostics["route"] == "join"
         cert = verdict.certificate
         assert cert["type"] == "hull" and cert["weights"] == (1.0, 1.0)
-        assert [part["type"] == "twirled" for part in cert["parts"]] == twirled
+        assert [part["certificate"]["type"] == "twirled" for part in cert["parts"]] == twirled
         assert recheck(phi, verdict)
 
 
