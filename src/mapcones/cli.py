@@ -224,15 +224,13 @@ def cmd_phi_lambda(args) -> int:
 def cmd_verify(args) -> int:
     dims_list = [_parse_dims(d) for d in args.dims.split(";")] if args.dims else \
         [(2, 2), (2, 3), (3, 3)]
-    if args.check == "all":
-        reports = verifier.run_all(dims_list, seed=args.seed, tol=args.tol,
-                                   trials=args.trials)
-    else:
-        reports = [r for r in verifier.run_all(dims_list, seed=args.seed,
-                                               tol=args.tol, trials=args.trials)
-                   if r.check_id.startswith(args.check)]
-        if not reports:
+    steps = verifier.plan(dims_list, seed=args.seed, tol=args.tol, trials=args.trials)
+    if args.check != "all":
+        # select by report id before any check runs
+        steps = [step for step in steps if step[0].startswith(args.check)]
+        if not steps:
             raise ValueError(f"unknown check id {args.check!r}")
+    reports = [check(*check_args) for _, check, check_args in steps]
     _emit([r.as_dict() for r in reports], args)
     return 0 if all(r.passed for r in reports) else 1
 

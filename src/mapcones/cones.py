@@ -14,16 +14,19 @@ scratch.  A map lies in a closed cone iff it pairs nonnegatively with the
 whole dual cone, so every witness is a ``dual_element``: a dual map psi, with
 its own certificate, whose pairing with the map is negative.  Complete
 positivity is decided exactly via the Choi spectrum; k-positivity has a
-sound refuter plus an exact certifier for maps whose Choi matrix has the
-``a*I - b|w><w|`` spectral pattern.  Every refutation of k-positivity or CP
-is a generator of the dual cone SPk: a conjugation Ad_V with rank V <= k.  V
-is the top-k singular truncation of unvec(w) for a family-pattern map, the
-lowest Choi eigenvector at k = min(m, n), and otherwise the minimizer of the
-Choi quadratic form over vectors of Schmidt rank <= k, found by batched
+sound refuter plus two closed-form certifiers: an exact one for maps whose
+Choi matrix has the ``a*I - b|w><w|`` spectral pattern, and a split of the
+Choi matrix into such a pattern on the boundary of Pk(k) plus a PSD
+remainder (paper thm5: the family map is k-positive, and Pk(k) contains
+CP).  Every refutation of k-positivity or CP is a generator of the dual
+cone SPk: a conjugation Ad_V with rank V <= k.  V is the top-k singular
+truncation of unvec(w) for a family-pattern map, the lowest Choi
+eigenvector at k = min(m, n), and otherwise a point of the minimization of
+the Choi quadratic form over vectors of Schmidt rank <= k, by batched
 alternating minimization.  Only the comparison of that minimum with minus
-the tolerance decides, so the minimizer stops as soon as its best restart
-has settled below it; a minimum that never gets there runs every sweep, as
-it would without the stop.
+the tolerance decides, so the minimizer stops at the end of the first sweep
+in which any restart lies below it; a minimum that never gets there runs
+every sweep, as it would without the stop, unless it stalls.
 Every tolerance is ``linalg.tolerance``, relative to the largest Choi entry,
 so a verdict is the same for every positive multiple of a map.
 k-superpositivity is certified by explicit Kraus decompositions.
@@ -282,9 +285,10 @@ class MemberConfig:
     sampled generators and ``seed`` fixes every random start.  Both
     iterative searches take at most ``linalg.MAX_SWEEPS`` sweeps: the
     Schmidt-rank-k minimization (it stops earlier once every restart has
-    settled, or once its best restart has settled and either lies below
-    minus the tolerance or no restart can reach it in the sweeps left at
-    its current per-sweep drop) and the alternating projections that decide
+    settled, at the end of the first sweep in which any restart lies below
+    minus the tolerance, or once its best restart has settled and no
+    restart can reach minus the tolerance in the sweeps left at its current
+    per-sweep drop) and the alternating projections that decide
     join(CP, t(CP)) (they stop at the first certificate or witness).
     A config with ``samples`` below 1, or with a ``tol`` that is negative
     or not finite, raises ValueError.
@@ -359,6 +363,39 @@ def _family_kfan(w, m: int, n: int, k: int) -> float:
     """Sum of the k largest eigenvalues of W W^dagger for W = unvec(w)."""
     sv = linalg.singular_values(unvec(w, m, n))
     return float(np.sum(sv[:k] ** 2))
+
+
+def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optional[dict]:
+    """Certify phi in Pk(k) as a family map on the threshold plus a CP map.
+
+    With (vals, vecs) the ascending Choi eigenpairs, w = vecs[:, 0] and
+    f = fan_k(w), the family part is F = a*I - b*|w><w| with a = vals[1] and
+    b = a / f, so (b / a) * f = 1: F is k-positive (thm5).  C - F keeps the
+    eigenvectors of C, with eigenvalues vals[0] - a + a / f and
+    vals[i] - a >= 0.  Returns a ``hull``, weights (1, 1), of F with its
+    ``family`` certificate and C - F with its ``psd_floor``, when a exceeds
+    the tolerance of C and each part passes :func:`recheck` against its own
+    tolerance; else None.  Costs one SVD and one eigenvalue call.
+    """
+    m, n = phi.dims
+    a = float(vals[1])
+    if a <= linalg.tolerance(phi.choi, tol):
+        return None
+    w = vecs[:, 0]
+    fan = _family_kfan(w, m, n, k)
+    b = a / fan
+    lhs = (b / a) * fan
+    if lhs > 1.0 + tol:
+        return None
+    fam = a * np.eye(m * n) - b * np.outer(w, w.conj())
+    rest = phi.choi - fam
+    floor = _psd_floor(linalg.hermitian_part_eigvals(rest)[0], linalg.tolerance(rest, tol))
+    if floor is None:
+        return None
+    parts = [{"choi": fam, "certificate": {"type": "family", "a": a, "b": b, "w": w, "k": k,
+                                           "threshold_lhs": lhs}},
+             {"choi": rest, "certificate": floor}]
+    return {"type": "hull", "weights": (1.0, 1.0), "parts": parts}
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +582,14 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     Returns ``(found, value, sweeps)``: found is ``(Ad_V, <Ad_V, phi>,
     certificate)`` when the pairing ``value`` is below -eps, eps the
     ``linalg.tolerance`` of the Choi matrix, and None otherwise.  V is the
-    given n x m operator, of unit norm; without one it is the minimizer of
-    the Choi quadratic form over unit vectors of Schmidt rank <= k, found in
-    ``sweeps`` sweeps (0 when no search ran).  The minimizer stops once its
-    best restart has settled below -eps, the only comparison made here, or,
-    with every value above -eps, once no restart falls fast enough to reach
-    -eps in the sweeps left; that stall stop assumes no restart's per-sweep
-    drop grows (see :func:`linalg.schmidt_rank_min`).
+    given n x m operator, of unit norm; without one it is the point the
+    minimization of the Choi quadratic form over unit vectors of Schmidt
+    rank <= k reached in ``sweeps`` sweeps (0 when no search ran).  The
+    minimizer stops at the end of the first sweep in which any restart lies
+    below -eps, the only comparison made here, and returns that restart, not
+    a converged one; or, with every value above -eps, once no restart falls
+    fast enough to reach -eps in the sweeps left, a stall stop that assumes
+    no restart's per-sweep drop grows (see :func:`linalg.schmidt_rank_min`).
     """
     m, n = phi.dims
     eps = linalg.tolerance(phi.choi, cfg.tol)
@@ -724,6 +762,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     * ``cp_spectrum`` (CP member), ``not_cp`` (CP or SPk(k) refuted),
       ``cp_subset``, ``family_pattern``, ``family_projection``,
+      ``family_split`` (a ``hull`` of a ``family`` map on the k-positivity
+      threshold and a ``psd_floor`` remainder, see :func:`_family_split`),
       ``co_cp_subset`` and ``eigendecomposition`` (SPk(k) member): none;
     * ``vector_search`` (k = 1) and ``projection_search`` (k > 1), the
       Schmidt-rank-k search on Pk(k): ``sweeps``, and on ``unknown``
@@ -785,6 +825,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
             if found is not None:
                 return _dual_verdict(found, "family_projection", cfg)
+        cert = _family_split(phi, k, vals, vecs, cfg.tol)
+        if cert is not None:
+            return _verdict(MEMBER, "family_split", cfg, certificate=cert)
         if k == 1:
             # completely copositive maps are positive: Phi . t in CP certifies
             co = _psd_floor(linalg.hermitian_part_eigvals(phi.right_transpose().choi)[0], eps)
@@ -963,8 +1006,7 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
     eps = linalg.tolerance(phi.choi, tol)
     kind = cert["type"]
     if kind == "psd_floor":
-        vals, _ = linalg.hermitian_part_eigen(phi.choi)
-        return bool(vals[0] >= -eps)
+        return bool(linalg.hermitian_part_eigvals(phi.choi)[0] >= -eps)
     if kind == "kraus":
         if not phi.isclose(from_kraus(cert["ops"]), eps):
             return False
@@ -1004,8 +1046,8 @@ def _recheck_witness(phi: SuperOperator, wit: dict, tol: float) -> bool:
     if wit.get("pairing") is not None:
         return pair(psi, phi, tol) < -_pair_tolerance(psi.choi, phi, tol) / 2
     comp = psi.adjoint().compose(phi)
-    vals, _ = linalg.hermitian_part_eigen(comp.choi)
-    return bool(vals[0] < -linalg.tolerance(comp.choi, tol) / 2)
+    return bool(linalg.hermitian_part_eigvals(comp.choi)[0]
+                < -linalg.tolerance(comp.choi, tol) / 2)
 
 
 def recheck(phi: SuperOperator, verdict: Verdict, tol: float = 1e-9) -> bool:

@@ -138,22 +138,23 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
     its value by no more than ``_SWEEP_DROP * max(max|C|, |value|)``, a test
     that, like every other, reads the same at every scale of C.  Sweeps stop
     after ``max_iters`` or once every restart has settled.  When
-    ``stop_below`` is given they also stop once the best restart has settled
-    and either its value is below ``stop_below`` or no restart can reach
-    ``stop_below`` in the sweeps left: every restart's value, lowered by this
-    sweep's drop times the sweeps left, stays at or above it.
+    ``stop_below`` is given they also stop at the end of the first sweep in
+    which any restart's value is below ``stop_below``, and then return the
+    least such restart, or once the best restart has settled and no restart
+    can reach ``stop_below`` in the sweeps left: every restart's value,
+    lowered by this sweep's drop times the sweeps left, stays at or above it.
 
-    The stop below the threshold cannot change a comparison of the value
-    with ``stop_below``: since no value increases, the full run would end
-    below it too.  Waiting for the best restart to settle, rather than
-    stopping at the first value below the threshold, returns a converged
-    point.  The stall stop fires only while every value is at or above
-    ``stop_below``, so a run that ends below it is the run without
-    ``stop_below``, sweep for sweep.  The stall stop rests on one premise:
-    no restart's per-sweep drop grows.  A restart that escapes a saddle
-    breaks it, and a run the full one would end below ``stop_below`` can
-    then stop above it.  A caller that only asks whether the minimum is
-    below a threshold passes that threshold.
+    The first-crossing stop cannot change a comparison of the value with
+    ``stop_below``: since no value increases, the full run would end below
+    it too.  It returns the point of that sweep, not a converged one; the
+    run is the one without ``stop_below`` cut at that sweep, bit for bit,
+    and the check comes after the full sweep, where x has orthonormal
+    columns.  The stall stop fires only while every value is at or above
+    ``stop_below``.  It rests on one premise: no restart's per-sweep drop
+    grows.  A restart that escapes a saddle breaks it, and a run the full
+    one would end below ``stop_below`` can then stop above it.  A caller
+    that only asks whether the minimum is below a threshold passes that
+    threshold.
 
     Returns ``(value, x, y, sweeps)`` of the best restart; x has orthonormal
     columns and ||y|| = 1, so ||x @ y|| = 1.
@@ -195,9 +196,8 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, restarts: int, max_iters: int
             break
         # settled[best] is False on the first sweep, whose drop is inf, so
         # no inf * 0 is formed when that sweep is also the last
-        if stop_below is not None and settled[best] and (
-                vals[best] < stop_below
-                or np.all(vals - np.maximum(drop, 0.0) * (max_iters - sweeps) >= stop_below)):
+        if stop_below is not None and (vals[best] < stop_below or (settled[best] and np.all(
+                vals - np.maximum(drop, 0.0) * (max_iters - sweeps) >= stop_below))):
             break
     best = int(np.argmin(vals))
     return float(vals[best]), x[best], y[best], sweeps

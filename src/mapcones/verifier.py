@@ -36,6 +36,18 @@ class CheckReport:
         return asdict(self)
 
 
+# the report id of each check_<name>, formatted with the check's cone or k
+CHECK_IDS = {
+    "prop1": "prop1_adjoint_identities",
+    "isometry": "choi_isometry",
+    "lemma6": "lemma6_choi_of_ad",
+    "thm2": "thm2_duality_{cone}",
+    "thm3": "thm3_star_invariant_{cone}",
+    "thm4": "thm4_rank_conjugation_k{k}",
+    "thm5": "thm5_projection_pairs_k{k}",
+}
+
+
 def _report(check_id, m, n, trials, violation, seed, tol, notes="") -> CheckReport:
     return CheckReport(check_id, m, n, trials, float(violation),
                        bool(violation <= tol), seed, tol, notes)
@@ -68,7 +80,7 @@ def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckRe
         worst = max(worst, abs(lhs - rhs))
         worst = max(worst, abs(map_inner(phi, psi)
                                - map_inner(psi.adjoint(), phi.adjoint())))
-    return _report("prop1_adjoint_identities", m, n, trials, worst, seed, tol)
+    return _report(CHECK_IDS["prop1"], m, n, trials, worst, seed, tol)
 
 
 def check_isometry(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckReport:
@@ -86,7 +98,7 @@ def check_isometry(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> Chec
                 by_sum += linalg.hs_inner(phi.apply(fkl), psi.apply(fkl))
         by_choi = linalg.hs_inner(phi.choi, psi.choi)
         worst = max(worst, abs(by_sum - by_choi))
-    return _report("choi_isometry", m, n, trials, worst, seed, tol)
+    return _report(CHECK_IDS["isometry"], m, n, trials, worst, seed, tol)
 
 
 def check_lemma6(m: int, n: int, trials: int, seed, tol: float = 1e-12) -> CheckReport:
@@ -113,7 +125,7 @@ def check_lemma6(m: int, n: int, trials: int, seed, tol: float = 1e-12) -> Check
         img = v @ matrix_unit(m, k, l) @ v.conj().T
         worst = max(worst, float(np.max(np.abs(
             img - np.outer(v[:, k], v[:, l].conj())))))
-    return _report("lemma6_choi_of_ad", m, n, trials, worst, seed, tol)
+    return _report(CHECK_IDS["lemma6"], m, n, trials, worst, seed, tol)
 
 
 def check_thm2(cone_text: str, m: int, n: int, trials: int, seed,
@@ -138,7 +150,7 @@ def check_thm2(cone_text: str, m: int, n: int, trials: int, seed,
         if not refuted:
             worst = max(worst, 1.0)
         notes = "planted transposition refuted" if refuted else "planted refutation FAILED"
-    return _report(f"thm2_duality_{cone_text}", m, n, trials, worst, seed, tol, notes)
+    return _report(CHECK_IDS["thm2"].format(cone=cone_text), m, n, trials, worst, seed, tol, notes)
 
 
 def check_thm3(cone_text: str, m: int, trials: int, seed,
@@ -153,7 +165,7 @@ def check_thm3(cone_text: str, m: int, trials: int, seed,
     for phi, psi in zip(gens, duals):
         worst = max(worst, -_min_choi_eig(psi.compose(phi)), 0.0)
         worst = max(worst, -_min_choi_eig(phi.compose(psi)), 0.0)
-    return _report(f"thm3_star_invariant_{cone_text}", m, m, trials, worst, seed, tol)
+    return _report(CHECK_IDS["thm3"].format(cone=cone_text), m, m, trials, worst, seed, tol)
 
 
 def check_thm4(m: int, n: int, k: int, trials: int, seed,
@@ -180,7 +192,7 @@ def check_thm4(m: int, n: int, k: int, trials: int, seed,
         wk = u[:, :k] @ np.diag(s[:k]) @ vh[:k]
         if _min_choi_eig(ad_map(wk.conj().T).compose(above)) >= -tol:
             worst = max(worst, 1.0)
-    return _report(f"thm4_rank_conjugation_k{k}", m, n, trials, worst, seed, tol)
+    return _report(CHECK_IDS["thm4"].format(k=k), m, n, trials, worst, seed, tol)
 
 
 def check_thm5(m: int, n: int, k: int, trials: int, seed,
@@ -217,24 +229,36 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
         f = linalg.random_projection(m, k, rng)
         comp = ad_map(e).compose(phi).compose(ad_map(f))
         worst = max(worst, -_min_choi_eig(comp), 0.0)
-    return _report(f"thm5_projection_pairs_k{k}", m, n, trials, worst, seed, tol,
+    return _report(CHECK_IDS["thm5"].format(k=k), m, n, trials, worst, seed, tol,
                    notes=f"threshold {thr:.6g} bracketed at +-{margin:.0%}")
 
 
-def run_all(dims_list, seed=0, tol: float = 1e-9, trials: int = 50) -> list[CheckReport]:
-    """Run every check at each dims; deterministic for a fixed seed."""
-    reports: list[CheckReport] = []
+def plan(dims_list, seed=0, tol: float = 1e-9, trials: int = 50) -> list[tuple]:
+    """The checks :func:`run_all` makes, in its order, as ``(check_id,
+    check, args)``: ``check(*args)`` returns the report with that
+    ``check_id``, so a caller can select checks by id before any runs."""
+    steps = []
     for m, n in dims_list:
-        reports.append(check_prop1(m, n, trials, seed, tol))
-        reports.append(check_isometry(m, n, trials, seed, tol))
-        reports.append(check_lemma6(m, n, trials, seed, max(tol, 1e-12)))
-        reports.append(check_thm2("CP", m, n, trials, seed, tol))
-        if min(m, n) >= 3:
-            reports.append(check_thm2("SPk(2)", m, n, trials, seed, tol))
+        steps.append((CHECK_IDS["prop1"], check_prop1, (m, n, trials, seed, tol)))
+        steps.append((CHECK_IDS["isometry"], check_isometry, (m, n, trials, seed, tol)))
+        steps.append((CHECK_IDS["lemma6"], check_lemma6,
+                      (m, n, trials, seed, max(tol, 1e-12))))
+        cones_thm2 = ("CP", "SPk(2)") if min(m, n) >= 3 else ("CP",)
+        for cone_text in cones_thm2:
+            steps.append((CHECK_IDS["thm2"].format(cone=cone_text), check_thm2,
+                          (cone_text, m, n, trials, seed, tol)))
         if m == n:
             for cone_text in ("CP", "SP", "P"):
-                reports.append(check_thm3(cone_text, m, trials, seed, tol))
+                steps.append((CHECK_IDS["thm3"].format(cone=cone_text), check_thm3,
+                              (cone_text, m, trials, seed, tol)))
         for k in range(1, min(m, n) + 1):
-            reports.append(check_thm4(m, n, k, trials, seed, tol))
-            reports.append(check_thm5(m, n, k, max(trials, 200), seed, tol))
-    return reports
+            steps.append((CHECK_IDS["thm4"].format(k=k), check_thm4,
+                          (m, n, k, trials, seed, tol)))
+            steps.append((CHECK_IDS["thm5"].format(k=k), check_thm5,
+                          (m, n, k, max(trials, 200), seed, tol)))
+    return steps
+
+
+def run_all(dims_list, seed=0, tol: float = 1e-9, trials: int = 50) -> list[CheckReport]:
+    """Run every check of :func:`plan` at each dims; deterministic for a fixed seed."""
+    return [check(*args) for _, check, args in plan(dims_list, seed, tol, trials)]

@@ -243,6 +243,37 @@ def test_verify_single_check(capsys):
     assert out and all(r["check_id"].startswith("lemma6") for r in out)
 
 
+def _count_checks(monkeypatch):
+    """Wrap every verifier.check_* so that each call is logged by name."""
+    from mapcones import verifier
+    calls = []
+    for name in [n for n in vars(verifier) if n.startswith("check_")]:
+        def wrapped(*args, _name=name, _check=getattr(verifier, name)):
+            calls.append(_name)
+            return _check(*args)
+        monkeypatch.setattr(verifier, name, wrapped)
+    return calls
+
+
+def test_verify_single_check_runs_only_that_check(monkeypatch, capsys):
+    calls = _count_checks(monkeypatch)
+    code, out = run(capsys, "verify", "--dims", "2,2;2,3", "--trials", "4",
+                    "--check", "thm4")
+    assert code == 0
+    assert [r["check_id"] for r in out] == ["thm4_rank_conjugation_k1",
+                                            "thm4_rank_conjugation_k2",
+                                            "thm4_rank_conjugation_k1",
+                                            "thm4_rank_conjugation_k2"]
+    assert calls == ["check_thm4"] * 4
+
+
+def test_verify_unknown_check_fails_before_any_check_runs(monkeypatch, capsys):
+    calls = _count_checks(monkeypatch)
+    assert cli.main(["verify", "--dims", "2,2", "--trials", "4", "--check", "thm9"]) == 66
+    assert "unknown check id 'thm9'" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_output_flag_writes_file(capsys, files, tmp_path):
     dest = tmp_path / "out.json"
     code = cli.main(["dual", "P", "--output", str(dest)])

@@ -314,6 +314,20 @@ def test_join_witness_search_makes_two_eigensolver_calls(monkeypatch):
     assert len(calls) == 2
 
 
+def test_recheck_takes_eigenvalues_only(monkeypatch):
+    # a psd_floor (here in a family_split hull) and a composition witness
+    # read only the least eigenvalue
+    cases = [(_two_positive_not_cp(), "Pk(2)"), (_witness_cases()["SPk(2)"], "SPk(2)")]
+    verdicts = [(phi, member(phi, normalize(parse_cone(text), 3, 3), CFG))
+                for phi, text in cases]
+    assert [v.diagnostics["route"] for _, v in verdicts] == ["family_split", "dual_sampling"]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    assert all(recheck(phi, v) for phi, v in verdicts)
+    assert not calls
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3), (4, 4)])
 def test_stacked_pairing_and_compositions_match_per_sample_loops(m, n):
     rng = np.random.default_rng(17)
@@ -597,8 +611,12 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
         refuted += 1
         psi = verdict.witness["psi"]
         if verdict.diagnostics["route"] == "family_projection":
-            # the exact truncation against the minimizer that approaches it
-            assert psi.isclose(found[0], 1e-6)
+            # the exact truncation and the search's first point below -eps
+            # are different conjugations: each must refute with its own pairing
+            eps = linalg.tolerance(phi.choi, CFG.tol)
+            for chi, value in ((psi, verdict.witness["pairing"]), (found[0], found[1])):
+                assert value < -eps
+                assert abs(value - pair(chi, phi)) <= linalg.tolerance(phi.choi, 1e-12)
         else:
             assert np.array_equal(psi.choi, found[0].choi)
             assert verdict.witness["pairing"] == found[1]
@@ -662,6 +680,60 @@ def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
                 assert found is not None
                 assert found[1] < -linalg.tolerance(phi.choi, CFG.tol)
                 _assert_conjugation_witness(phi, verdict, "family_projection", 2)
+
+
+SPLIT_SCALES = (1e-6, 1.0, 1e6)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_family_split_certifies_two_positive_maps(d, seed):
+    # between the CP and 2-positivity thresholds, with a CP term that breaks
+    # the family pattern: a family map on the threshold plus a PSD remainder
+    phi = _two_positive_not_cp(d, seed)
+    expr = normalize(parse_cone("Pk(2)"), d, d)
+    for scale in SPLIT_SCALES:
+        chi = _scaled(scale, phi)
+        verdict = member(chi, expr, CFG)
+        assert verdict.status == MEMBER, scale
+        assert verdict.diagnostics["route"] == "family_split"
+        cert = verdict.certificate
+        assert cert["type"] == "hull" and cert["weights"] == (1.0, 1.0)
+        assert [p["certificate"]["type"] for p in cert["parts"]] == ["family", "psd_floor"]
+        assert cert["parts"][0]["certificate"]["k"] == 2
+        assert recheck(chi, verdict)
+        assert witness_search(chi, expr, CFG) is None
+
+
+def _family_above_k_threshold(d, k, excess, seed, perturb):
+    """Tr - lam Ad_V at (1 + excess) times its k-positivity threshold, with
+    a CP term of size ``perturb * excess`` that breaks the family pattern."""
+    rng = np.random.default_rng([seed, d, k])
+    v = linalg.random_complex((d, d), rng)
+    choi = build(PhiLambdaSpec(v, (1 + excess) * k_positivity_threshold(v, k))).choi
+    extra = superop.random_cp_map(d, d, rng, 2).choi
+    return superop.from_choi(choi + perturb * excess * extra / np.linalg.eigvalsh(extra)[-1],
+                             d, d)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize("excess", [1e-6, 1e-3, 0.3])
+def test_family_split_never_certifies_family_maps_above_threshold(d, k, excess):
+    # each map is outside Pk(k): the route declines it, and member and the
+    # witness search refute it at every scale
+    expr = normalize(parse_cone("P" if k == 1 else f"Pk({k})"), d, d)
+    for seed in range(3):
+        for perturb in (0.0, 1e-2):
+            phi = _family_above_k_threshold(d, k, excess, seed, perturb)
+            for scale in SPLIT_SCALES:
+                chi = _scaled(scale, phi)
+                vals, vecs = linalg.hermitian_part_eigen(chi.choi)
+                assert cones._family_split(chi, k, vals, vecs, CFG.tol) is None
+                verdict = member(chi, expr, CFG)
+                assert verdict.status == NOT_MEMBER, (seed, perturb, scale)
+                assert recheck(chi, verdict)
+                psi, value, _ = witness_search(chi, expr, CFG)
+                assert value < -linalg.tolerance(chi.choi, CFG.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -865,17 +937,27 @@ def test_verdicts_are_scale_invariant_and_pass_recheck(kind, text, seed, log_sca
 # diagnostics schema: route, the route's effort keys, then cfg
 # ---------------------------------------------------------------------------
 
-def _two_positive_not_cp():
+def _two_positive_not_cp(d=3, seed=5):
     """Tr - lam Ad_V between the CP and 2-positivity thresholds, plus a CP
     term that breaks the family pattern but is too small to make it CP."""
-    rng = np.random.default_rng(5)
-    v = linalg.random_complex((3, 3), rng)
+    rng = np.random.default_rng(seed)
+    v = linalg.random_complex((d, d), rng)
     cp_thr = cp_threshold(v)
     lam = 0.5 * (cp_thr + k_positivity_threshold(v, 2))
-    extra = superop.random_cp_map(3, 3, rng, 2).choi
+    extra = superop.random_cp_map(d, d, rng, 2).choi
     gap = lam / cp_thr - 1.0
     return superop.from_choi(build(PhiLambdaSpec(v, lam)).choi
-                             + 0.5 * gap * extra / np.linalg.eigvalsh(extra)[-1], 3, 3)
+                             + 0.5 * gap * extra / np.linalg.eigvalsh(extra)[-1], d, d)
+
+
+def _conjugated_two_positive():
+    """Ad_A . (Tr - lam Ad_V) . Ad_B for diagonal A, B far from unitary: in
+    Pk(2) by the mapping-cone symmetry, but its second Choi eigenvalue is too
+    small for the family split to absorb the negative one."""
+    v = linalg.random_complex((3, 3), np.random.default_rng(5))
+    lam = 0.5 * (cp_threshold(v) + k_positivity_threshold(v, 2))
+    return (ad_map(np.diag([1.0, 1.0, 0.3])).compose(build(PhiLambdaSpec(v, lam)))
+            .compose(ad_map(np.diag([1.0, 0.3, 1.0]))))
 
 
 def _sum_of_rank_two_conjugations():
@@ -909,7 +991,9 @@ SCHEMA_CASES = [
                  ["sweeps", "closest_value"], id="vector_search_unknown"),
     pytest.param("projection_search", lambda: superop.random_hp_map(3, 3, 2), "Pk(2)",
                  NOT_MEMBER, ["sweeps"], id="projection_search"),
-    pytest.param("projection_search", _two_positive_not_cp, "Pk(2)", UNKNOWN,
+    pytest.param("family_split", _two_positive_not_cp, "Pk(2)", MEMBER, [],
+                 id="family_split"),
+    pytest.param("projection_search", _conjugated_two_positive, "Pk(2)", UNKNOWN,
                  ["sweeps", "closest_value"], id="projection_search_unknown"),
     pytest.param("eigendecomposition", lambda: ad_map(np.diag([1.0, 2.0, 0.0])), "SPk(2)",
                  MEMBER, [], id="eigendecomposition"),

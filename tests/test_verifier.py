@@ -47,6 +47,12 @@ def test_run_all_green_and_serializable():
     assert "check_id" in blob
 
 
+def test_plan_names_each_report_in_run_order():
+    dims = [(2, 2), (2, 3), (3, 3)]
+    ids = [check_id for check_id, _, _ in verifier.plan(dims, seed=2, trials=4)]
+    assert ids == [r.check_id for r in verifier.run_all(dims, seed=2, trials=4)]
+
+
 def test_run_all_deterministic():
     a = [r.as_dict() for r in verifier.run_all([(2, 2)], seed=7, trials=8)]
     b = [r.as_dict() for r in verifier.run_all([(2, 2)], seed=7, trials=8)]
