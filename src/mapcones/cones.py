@@ -33,8 +33,10 @@ k-superpositivity is certified by explicit Kraus decompositions.
 Decomposability, membership in join(CP, t(CP)), is a two-cone feasibility
 problem decided by alternating PSD projections: a certificate splits the Choi
 matrix into a CP and a co-CP part, and a refutation is a PPT element of the
-dual cone meet(CP, t(CP)) that pairs negatively with the map.  Other joins are
-refuted by sampling their dual cone.
+dual cone meet(CP, t(CP)) that pairs negatively with the map.  SPk(k) and
+every other join are refuted by the paper's composition test: phi lies in a
+mapping cone iff psi^dagger . phi is CP for every psi in the dual cone, here
+for sampled generators psi of it.
 """
 
 from __future__ import annotations
@@ -282,7 +284,8 @@ class MemberConfig:
     a verdict on a map with Choi matrix C compares with
     ``linalg.tolerance(C, tol) = tol * max|C_ij|``, so it does not change
     when the map is scaled by a positive number.  ``samples`` bounds the
-    sampled generators and ``seed`` fixes every random start.  Both
+    generators of the dual cone that the composition test samples (at most
+    100 of them) and ``seed`` fixes every random start.  Both
     iterative searches take at most ``linalg.MAX_SWEEPS`` sweeps: the
     Schmidt-rank-k minimization (it stops earlier once every restart has
     settled, at the end of the first sweep in which any restart lies below
@@ -359,10 +362,11 @@ def _spectral_family_pattern(phi: SuperOperator, vals, vecs, eps: float):
     return a, b, w
 
 
-def _family_kfan(w, m: int, n: int, k: int) -> float:
-    """Sum of the k largest eigenvalues of W W^dagger for W = unvec(w)."""
-    sv = linalg.singular_values(unvec(w, m, n))
-    return float(np.sum(sv[:k] ** 2))
+def _family_kfan(w, m: int, n: int, k: int):
+    """Sum of the k largest eigenvalues of W W^dagger for W = unvec(w), of
+    one vector w or of each row of a stack of them."""
+    sv = np.linalg.svd(np.swapaxes(w.reshape(*w.shape[:-1], m, n), -1, -2), compute_uv=False)
+    return np.sum(sv[..., :k] ** 2, axis=-1)
 
 
 def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optional[dict]:
@@ -382,7 +386,7 @@ def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optiona
     if a <= linalg.tolerance(phi.choi, tol):
         return None
     w = vecs[:, 0]
-    fan = _family_kfan(w, m, n, k)
+    fan = float(_family_kfan(w, m, n, k))
     b = a / fan
     lhs = (b / a) * fan
     if lhs > 1.0 + tol:
@@ -440,9 +444,7 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         chois = superop.kraus_stack(ops)
         w = superop.vec_stack(ops[:, 0])
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
-        # k-fan of unvec(w), as _family_kfan computes it
-        sv = np.linalg.svd(np.swapaxes(w.reshape(count, m, n), 1, 2), compute_uv=False)
-        lam = (1.0 - 1e-12) / np.sum(sv[:, :k] ** 2, axis=1)
+        lam = (1.0 - 1e-12) / _family_kfan(w, m, n, k)
         fam = mode == 0
         chois[fam] = np.eye(m * n) - lam[fam, None, None] * (
             w[fam, :, None] * w[fam, None, :].conj())
@@ -497,36 +499,15 @@ def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
     ``side`` and its certificate in ``other``.
 
     Samples need no check when ``other`` includes ``side``; then every
-    sample is kept, with None for its certificate in ``other``.  CP and
-    t(CP) certify the whole stack with one Hermiticity check and one batched
-    spectrum, the stacked form of :func:`member`'s CP verdict; any other
-    cone calls :func:`member` per sample.
+    sample is kept, with None for its certificate in ``other``.  Otherwise
+    :func:`member` decides each sample, and a sample is kept with the
+    certificate of its ``member`` verdict.
     """
     chois, certs = _sample_stack(side, m, n, count, rng)
     if includes(other, side):
         return chois, [(c, None) for c in certs]
-    twirled = isinstance(other, Twirl)
-    if (other.child if twirled else other) != Base("CP"):
-        others = []
-        for c in chois:
-            verdict = member(SuperOperator(m, n, c), other, cfg)
-            others.append(verdict.certificate if verdict.status == MEMBER else None)
-        kept = chois[[o is not None for o in others]]
-    else:
-        if not linalg.is_hermitian(chois, cfg.tol):
-            raise ValueError("membership is defined for Hermiticity-preserving maps only")
-        if twirled:
-            # phi is in t(CP) iff phi . t is CP.  The twirl only permutes
-            # entries, so twirling the kept maps back restores them exactly,
-            # and the untwirled stack need not stay alive meanwhile.
-            chois = superop.twirl_stack(chois, m, n)
-        floors = linalg.hermitian_part_eigvals(chois)[:, 0]
-        others = [_psd_floor(val, eps)
-                  for val, eps in zip(floors, linalg.tolerance(chois, cfg.tol))]
-        kept = chois[[o is not None for o in others]]
-        if twirled:
-            others = [None if o is None else {"type": "twirled", "inner": o} for o in others]
-            kept = superop.twirl_stack(kept, m, n)
+    others = [member(SuperOperator(m, n, c), other, cfg).certificate for c in chois]
+    kept = chois[[o is not None for o in others]]
     return kept, [(c, o) for c, o in zip(certs, others) if o is not None]
 
 
@@ -606,6 +587,36 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     if value < -eps:
         found = ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
     return found, value, sweeps
+
+
+def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
+    """The paper's composition test on sampled generators of the dual cone d.
+
+    phi lies in a mapping cone iff psi^dagger . phi is CP for every psi in
+    its dual cone.  This draws min(``cfg.samples``, 100) generators psi of d
+    at seed ``cfg.seed + 3`` and takes the least Choi eigenvalue of each
+    psi^dagger . phi in one batched spectrum.  The test is at least as strong
+    as the pairing: <psi, phi> = <Omega| C(psi^dagger . phi) |Omega> for
+    Omega = sum_k e_k (x) e_k, so a negative pairing forces a negative
+    eigenvalue.  Returns ``(witness, samples, closest)``: witness is the
+    ``dual_element`` of the first psi whose eigenvalue lies below minus the
+    ``linalg.tolerance`` of its composition, with that
+    ``composition_eigenvalue`` and pairing None, or None; samples is the
+    number drawn and closest the least eigenvalue.
+    """
+    m, n = phi.dims
+    chois, certs = _sample_stack(d, m, n, min(cfg.samples, 100),
+                                 np.random.default_rng(cfg.seed + 3))
+    comps = superop.adjoint_compositions(chois, phi)
+    floors = linalg.hermitian_part_eigvals(comps)[:, 0]
+    hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
+    witness = None
+    if hits.size:
+        first = hits[0]
+        witness = {"type": "dual_element", "psi": SuperOperator(m, n, chois[first]),
+                   "psi_certificate": certs[first],
+                   "composition_eigenvalue": float(floors[first]), "pairing": None}
+    return witness, len(certs), float(floors.min())
 
 
 def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witness=None,
@@ -742,10 +753,11 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     multiple of phi: a value "below -eps" is an eigenvalue, a unit-vector
     quadratic form or a pairing with a normalized dual element that lies
     below -eps.  Every witness is a ``dual_element``: a map ``psi`` with a
-    ``psi_certificate`` and a ``pairing`` with phi below -eps (or, from SPk
-    dual sampling, a ``composition_eigenvalue`` and pairing None).  A Pk(k)
-    refutation is a conjugation Ad_V, ||V|| = 1, with rank V <= k; CP and
-    SPk(k) are refuted by Ad_V for V = unvec of the lowest Choi eigenvector.
+    ``psi_certificate`` and a ``pairing`` with phi below -eps (or, from
+    :func:`_dual_sampling`, a ``composition_eigenvalue`` and pairing None).
+    A Pk(k) refutation is a conjugation Ad_V, ||V|| = 1, with rank V <= k;
+    CP and SPk(k) are refuted by Ad_V for V = unvec of the lowest Choi
+    eigenvector.
     A twirl returns its child's witness as psi . t, a ``twirled``
     certificate and the same pairing; a meet returns its child's witness
     unchanged, and a join member that one child certifies carries that
@@ -754,8 +766,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     join(CP, t(CP)), in either order, is decided by :func:`_decomposition`
     once neither child certifies phi: a ``hull`` certificate of a CP and a
     twirled CP part, or a ``dual_element`` witness, a PPT map of unit trace
-    whose pairing with phi is below -eps.  Any other join is refuted by
-    sampled generators of its dual cone.
+    whose pairing with phi is below -eps.  SPk(k) and any other join are
+    refuted by :func:`_dual_sampling`, the composition test on sampled
+    generators of the dual cone.
 
     Every verdict's ``diagnostics`` hold ``route``, then the effort keys of
     that route, then ``cfg`` (``cfg.as_dict()``):
@@ -770,15 +783,18 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
       ``closest_value``, the least Choi quadratic form it reached;
     * ``dual_sampling`` (SPk(k) refuted, or ``unknown``): on ``unknown``,
       ``dual_samples`` and ``closest_composition_eigenvalue``, the least Choi
-      eigenvalue of psi^dagger . phi over the sampled generators psi of Pk(k);
+      eigenvalue of psi^dagger . phi over the sampled generators psi of the
+      dual cone Pk(k);
     * ``twirl``: ``child``, the child cone, and ``inner``, its diagnostics;
     * ``meet``: ``left`` and ``right``, the children's statuses;
     * ``join`` and ``join_dual_witness``: ``side`` on a member a child
-      certifies; on ``unknown`` ``left``, ``right`` and ``closest_pairing``,
-      the least pairing of phi with the dual elements tried (the PPT maps
-      of the sweeps, or sampled generators scaled to max|C_psi| = 1); and
-      ``sweeps`` on every join(CP, t(CP)) verdict (0 when a child decided),
-      ``dual_samples`` on any other join verdict that sampled.
+      certifies; on ``unknown``, ``left`` and ``right``, the children's
+      statuses, then the closest approach.  join(CP, t(CP)) reports
+      ``closest_pairing``, the least pairing of phi with the PPT maps of the
+      sweeps, and ``sweeps`` on every verdict (0 when a child decided); any
+      other join reports ``closest_composition_eigenvalue``, as
+      ``dual_sampling`` does over its dual cone, and ``dual_samples`` on
+      every verdict that sampled.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
@@ -809,7 +825,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         pattern = _spectral_family_pattern(phi, vals, vecs, eps)
         if pattern is not None and pattern[0] > eps:
             a, b, w = pattern
-            fan = _family_kfan(w, m, n, k)
+            fan = float(_family_kfan(w, m, n, k))
             lhs = (b / a) * fan
             # the pairing a - b * fan_k(w) is the one the refuters compare
             # with -eps, so an accepted map has no refutation; the ratio is
@@ -847,21 +863,11 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             return _verdict(MEMBER, "eigendecomposition", cfg,
                             certificate={"type": "kraus", "ops": ops, "rank_bound": k})
         # phi is in SPk iff psi^dagger . phi is CP for every psi in Pk
-        chois, certs = _sample_stack(Base("Pk", k), m, n, min(cfg.samples, 100),
-                                     np.random.default_rng(cfg.seed + 3))
-        comps = superop.adjoint_compositions(chois, phi)
-        floors = linalg.hermitian_part_eigvals(comps)[:, 0]
-        hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
-        if hits.size:
-            first = hits[0]
-            return _verdict(NOT_MEMBER, "dual_sampling", cfg,
-                            witness={"type": "dual_element",
-                                     "psi": SuperOperator(m, n, chois[first]),
-                                     "psi_certificate": certs[first],
-                                     "composition_eigenvalue": float(floors[first]),
-                                     "pairing": None})
-        return _verdict(UNKNOWN, "dual_sampling", cfg, dual_samples=len(certs),
-                        closest_composition_eigenvalue=float(floors.min()))
+        witness, samples, closest = _dual_sampling(phi, dual_expr(expr), cfg)
+        if witness is not None:
+            return _verdict(NOT_MEMBER, "dual_sampling", cfg, witness=witness)
+        return _verdict(UNKNOWN, "dual_sampling", cfg, dual_samples=samples,
+                        closest_composition_eigenvalue=closest)
 
     if isinstance(expr, Twirl):
         inner = member(phi.right_transpose(), expr.child, cfg)
@@ -902,15 +908,18 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             sides[side] = verdict.status
         if expr in _DECOMPOSABLE:
             cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
-            effort = {"sweeps": sweeps}
             if cert is not None:
-                return _verdict(MEMBER, "join", cfg, certificate=cert, **effort)
-        else:
-            found, closest = _sampled_witness(phi, dual_expr(expr), cfg)
-            effort = {"dual_samples": cfg.samples}
-        if found is not None:
-            return _dual_verdict(found, "join_dual_witness", cfg, **effort)
-        return _verdict(UNKNOWN, "join", cfg, **sides, closest_pairing=closest, **effort)
+                return _verdict(MEMBER, "join", cfg, certificate=cert, sweeps=sweeps)
+            if found is not None:
+                return _dual_verdict(found, "join_dual_witness", cfg, sweeps=sweeps)
+            return _verdict(UNKNOWN, "join", cfg, **sides, closest_pairing=closest,
+                            sweeps=sweeps)
+        witness, samples, closest = _dual_sampling(phi, dual_expr(expr), cfg)
+        if witness is not None:
+            return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=witness,
+                            dual_samples=samples)
+        return _verdict(UNKNOWN, "join", cfg, **sides, closest_composition_eigenvalue=closest,
+                        dual_samples=samples)
 
     raise TypeError(f"membership needs a normalized cone expression, got {expr!r}")
 
@@ -924,32 +933,13 @@ def witness_search(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = Membe
 
     psi lies in dual(expr), as its certificate proves, and value is the
     witness's ``pairing`` with phi, below minus the tolerance; it is None
-    for a composition witness of SPk dual sampling.  Returns None when
+    for a composition witness of :func:`_dual_sampling`.  Returns None when
     :func:`member` does not refute phi.
     """
     witness = member(phi, expr, cfg).witness
     if witness is None:
         return None
     return witness["psi"], witness["pairing"], witness["psi_certificate"]
-
-
-def _sampled_witness(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
-    """Pair ``cfg.samples`` sampled generators of the cone d with phi.
-
-    Returns ``(found, closest)``: found is ``(psi, value, certificate)`` for
-    the first generator of least pairing when that pairing is below minus
-    its :func:`_pair_tolerance` and None otherwise; closest is the least
-    pairing.
-    """
-    m, n = phi.dims
-    chois, certs = _sample_stack(d, m, n, cfg.samples, np.random.default_rng(cfg.seed))
-    vals = _pair_stack(chois, phi, cfg.tol)
-    best = int(np.argmin(vals))
-    closest = float(vals[best])
-    found = None
-    if closest < -_pair_tolerance(chois[best], phi, cfg.tol):
-        found = (SuperOperator(m, n, chois[best]), closest, certs[best])
-    return found, closest
 
 
 # ---------------------------------------------------------------------------

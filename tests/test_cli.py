@@ -103,17 +103,26 @@ def test_witness_command(capsys, files):
     assert out["pairing"] < -1e-6
 
 
-def test_witness_command_prints_the_composition_eigenvalue(capsys, tmp_path):
-    # SPk(2) dual sampling refutes Ad_U + 0.05 Tr with a composition witness
+def _ad_u_plus_trace():
     u = linalg.random_unitary(3, np.random.default_rng(8))
-    phi = superop.from_choi(superop.ad_map(u).choi + 0.05 * np.eye(9), 3, 3)
-    path = tmp_path / "adu.json"
-    path.write_text(json.dumps(superop.superop_to_json(phi)))
-    code, out = run(capsys, "witness", str(path), "SPk(2)")
+    return superop.from_choi(superop.ad_map(u).choi + 0.05 * np.eye(9), 3, 3)
+
+
+@pytest.mark.parametrize("build_map,cone", [
+    pytest.param(_ad_u_plus_trace, "SPk(2)", id="spk"),
+    pytest.param(lambda: superop.random_hp_map(3, 3, 5), "join(Pk(2),t(Pk(2)))",
+                 id="sampled_join"),
+])
+def test_witness_command_prints_the_composition_eigenvalue(capsys, tmp_path, build_map, cone):
+    # the composition test on sampled dual generators refutes Ad_U + 0.05 Tr
+    # in SPk(2) and a random Hermiticity-preserving map in a sampled join
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(superop.superop_to_json(build_map())))
+    code, out = run(capsys, "witness", str(path), cone)
     assert code == 0
     assert out["pairing"] is None
     assert out["composition_eigenvalue"] < -1e-6
-    code, verdict = run(capsys, "member", str(path), "SPk(2)")
+    code, verdict = run(capsys, "member", str(path), cone)
     assert code == 1
     assert verdict["witness"]["composition_eigenvalue"] == out["composition_eigenvalue"]
 

@@ -300,20 +300,6 @@ def test_generator_sampling_deterministic():
     assert all(x == y for x, y in zip(a, b))
 
 
-def test_join_witness_search_makes_two_eigensolver_calls(monkeypatch):
-    # one batched spectrum admits each meet(CP,t(CP)) side; pairing needs none
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
-    # (witness_search on join(CP,t(CP)) runs the projection engine instead)
-    phi = superop.random_hp_map(3, 3, np.random.default_rng(4))
-    cones._sampled_witness(phi, normalize(parse_cone("meet(CP,t(CP))"), 3, 3),
-                           MemberConfig(samples=500, seed=0))
-    assert len(calls) == 2
-
-
 def test_recheck_takes_eigenvalues_only(monkeypatch):
     # a psd_floor (here in a family_split hull) and a composition witness
     # read only the least eigenvalue
@@ -343,6 +329,33 @@ def test_stacked_pairing_and_compositions_match_per_sample_loops(m, n):
     comps = superop.adjoint_compositions(chois, phi)
     for comp, psi in zip(comps, psis):
         assert np.max(np.abs(comp - psi.adjoint().compose(phi).choi)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
+def test_pairing_is_the_omega_entry_of_the_adjoint_composition(m, n):
+    # <psi, phi> = <Omega| C(psi^dagger . phi) |Omega>, Omega = sum_k e_k (x) e_k:
+    # a negative pairing forces a negative composition eigenvalue
+    rng = np.random.default_rng([m, n])
+    omega = superop.vec(np.eye(m))
+    for _ in range(10):
+        phi, psi = superop.random_hp_map(m, n, rng), superop.random_hp_map(m, n, rng)
+        comp = psi.adjoint().compose(phi).choi
+        assert abs(np.vdot(omega, comp @ omega) - pair(psi, phi)) <= 1e-12
+
+
+SAMPLED_JOINS = {(2, 3): ("join(P,t(CP))", "join(t(CP),meet(CP,P))"),
+                 (3, 2): ("join(P,t(CP))", "join(t(CP),meet(CP,P))"),
+                 (3, 3): ("join(Pk(2),t(Pk(2)))", "join(SPk(2),t(SPk(2)))")}
+
+
+@pytest.mark.parametrize("m,n", list(SAMPLED_JOINS))
+def test_composition_test_refutes_no_sampled_join_generator(m, n):
+    for seed, text in enumerate(SAMPLED_JOINS[m, n]):
+        expr = normalize(parse_cone(text), m, n)
+        for phi in sample_generators(expr, m, n, 6, seed):
+            verdict = member(phi, expr, CFG)
+            assert verdict.status != NOT_MEMBER, text
+            assert recheck(phi, verdict)
 
 
 def test_spk_dual_sampling_returns_the_first_hit_of_the_per_sample_loop():
@@ -814,9 +827,14 @@ def test_decomposition_decides_wherever_sampling_refutes():
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         rng = np.random.default_rng([m, n])
         expr = normalize(parse_cone(JOIN), m, n)
+        # the pairing of phi with sampled generators of meet(CP, t(CP))
+        duals, _ = cones._sample_stack(dual_expr(expr), m, n, CFG.samples,
+                                       np.random.default_rng(CFG.seed))
         for _ in range(10):
             phi = _near_decomposable(m, n, rng)
-            by_sampling, _ = cones._sampled_witness(phi, dual_expr(expr), CFG)
+            vals = cones._pair_stack(duals, phi, CFG.tol)
+            best = int(np.argmin(vals))
+            by_sampling = vals[best] < -cones._pair_tolerance(duals[best], phi, CFG.tol)
             verdict = member(phi, expr, CFG)
             assert recheck(phi, verdict)
             cert, found, _, _ = cones._decomposition(phi, CFG, False)
@@ -824,7 +842,7 @@ def test_decomposition_decides_wherever_sampling_refutes():
             if found is not None:
                 # here the lift delta * I is needed in some maps
                 _assert_ppt(found[0])
-            if by_sampling is not None:
+            if by_sampling:
                 sampled += 1
                 assert found is not None, (m, n)
     assert sampled >= 5
@@ -974,6 +992,13 @@ def _ckl(a, b, c):
     return superop.from_choi(_ckl_choi(a, b, c), 3, 3)
 
 
+def _sampled_join_generator():
+    """A hull of a CP and a co-CP map that neither Pk(2) nor t(Pk(2))
+    certifies, and that no sampled dual generator refutes."""
+    expr = normalize(parse_cone("join(Pk(2),t(Pk(2)))"), 3, 3)
+    return sample_generators(expr, 3, 3, 2, 0)[1]
+
+
 # route, map, cone, status and the effort keys between route and cfg: one
 # case per exit of member
 SCHEMA_CASES = [
@@ -1019,6 +1044,9 @@ SCHEMA_CASES = [
     pytest.param("join_dual_witness", lambda: superop.random_hp_map(3, 3, 1),
                  "join(Pk(2),t(Pk(2)))", NOT_MEMBER, ["dual_samples"],
                  id="join_dual_witness_sampled"),
+    pytest.param("join", _sampled_join_generator, "join(Pk(2),t(Pk(2)))", UNKNOWN,
+                 ["left", "right", "closest_composition_eigenvalue", "dual_samples"],
+                 id="join_sampled_unknown"),
 ]
 
 
