@@ -36,7 +36,10 @@ matrix into a CP and a co-CP part, and a refutation is a PPT element of the
 dual cone meet(CP, t(CP)) that pairs negatively with the map.  SPk(k) and
 every other join are refuted by the paper's composition test: phi lies in a
 mapping cone iff psi^dagger . phi is CP for every psi in the dual cone, here
-for sampled generators psi of it.
+for sampled generators psi of it.  Every normalized cone lies between SP and
+P, so a refutation of P refutes every join, and sampling never decides
+membership: a meet is sampled from a side the other side includes, or from
+the rank-one conjugations.
 """
 
 from __future__ import annotations
@@ -414,11 +417,10 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     all their random operators at once, and a twirl transposes the whole
     stack.  A join mixes two stacks with Dirichlet weights into a ``hull``
     whose parts carry their Choi matrices and certificates.  A meet samples
-    each side and keeps the maps :func:`_admit` certifies in the other side,
-    each with a ``both`` certificate whose ``left`` and ``right`` follow the
-    meet's sides, or all of them with their own certificates when the other
-    side includes it; it then tops up with rank-one conjugations, which lie
-    in every mcs-cone.
+    a side that the other side includes (:func:`includes`), with that side's
+    certificates, and otherwise rank-one conjugations, with ``kraus``
+    certificates of ``rank_bound`` 1.  No sample is decided by
+    :func:`member`.
     """
     kmax = min(m, n)
     if isinstance(expr, Base) and expr.kind == "SPk":
@@ -473,42 +475,13 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         return mixed, [{"type": "hull", "weights": (float(w1), float(w2)), "parts": [p1, p2]}
                        for (w1, w2), p1, p2 in zip(weights, *parts)]
     if isinstance(expr, Meet):
-        cfg = MemberConfig(samples=50, seed=int(rng.integers(2**31)))
-        kept, certs = [], []
-        for flip, (side, other) in enumerate(((expr.left, expr.right), (expr.right, expr.left))):
-            if len(certs) < count:
-                chois, pairs = _admit(side, other, m, n, count - len(certs), rng, cfg)
-                kept.append(chois)
-                for cert, other_cert in pairs:
-                    left_cert, right_cert = (other_cert, cert) if flip else (cert, other_cert)
-                    certs.append(cert if other_cert is None else
-                                 {"type": "both", "left": left_cert, "right": right_cert})
-        if len(certs) < count:
-            # rank-one conjugations lie in every mcs-cone
-            chois, rank_one = _sample_stack(Base("SPk", 1), m, n, count - len(certs), rng)
-            kept.append(chois)
-            certs += rank_one
-        return np.concatenate(kept), certs
+        # every mcs-cone lies between SP and P: a side that the other side
+        # includes is the meet, and rank-one conjugations lie in every meet
+        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
+            if includes(other, side):
+                return _sample_stack(side, m, n, count, rng)
+        return _sample_stack(Base("SPk", 1), m, n, count, rng)
     raise TypeError(f"cannot sample from unnormalized expression: {expr!r}")
-
-
-def _admit(side: ConeExpr, other: ConeExpr, m: int, n: int, count: int, rng,
-           cfg: MemberConfig):
-    """``count`` samples of ``side`` cut down to those that lie in ``other``
-    too: a Choi stack and, per kept sample, the pair of its certificate in
-    ``side`` and its certificate in ``other``.
-
-    Samples need no check when ``other`` includes ``side``; then every
-    sample is kept, with None for its certificate in ``other``.  Otherwise
-    :func:`member` decides each sample, and a sample is kept with the
-    certificate of its ``member`` verdict.
-    """
-    chois, certs = _sample_stack(side, m, n, count, rng)
-    if includes(other, side):
-        return chois, [(c, None) for c in certs]
-    others = [member(SuperOperator(m, n, c), other, cfg).certificate for c in chois]
-    kept = chois[[o is not None for o in others]]
-    return kept, [(c, o) for c, o in zip(certs, others) if o is not None]
 
 
 def _sample_with_certs(expr: ConeExpr, m: int, n: int, count: int, rng):
@@ -768,7 +741,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     twirled CP part, or a ``dual_element`` witness, a PPT map of unit trace
     whose pairing with phi is below -eps.  SPk(k) and any other join are
     refuted by :func:`_dual_sampling`, the composition test on sampled
-    generators of the dual cone.
+    generators of the dual cone.  A join that neither route decides is
+    refuted by a P refutation, a rank-one Ad_V: every normalized cone lies
+    in P, so Ad_V lies in every dual cone.  Only then is it ``unknown``.
 
     Every verdict's ``diagnostics`` hold ``route``, then the effort keys of
     that route, then ``cfg`` (``cfg.as_dict()``):
@@ -788,13 +763,14 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     * ``twirl``: ``child``, the child cone, and ``inner``, its diagnostics;
     * ``meet``: ``left`` and ``right``, the children's statuses;
     * ``join`` and ``join_dual_witness``: ``side`` on a member a child
-      certifies; on ``unknown``, ``left`` and ``right``, the children's
-      statuses, then the closest approach.  join(CP, t(CP)) reports
-      ``closest_pairing``, the least pairing of phi with the PPT maps of the
-      sweeps, and ``sweeps`` on every verdict (0 when a child decided); any
-      other join reports ``closest_composition_eigenvalue``, as
-      ``dual_sampling`` does over its dual cone, and ``dual_samples`` on
-      every verdict that sampled.
+      certifies; on ``unknown``, which P does not refute either, ``left``
+      and ``right``, the children's statuses, then the closest approach.
+      join(CP, t(CP)) reports ``closest_pairing``, the least pairing of phi
+      with the PPT maps of the sweeps, and ``sweeps`` on every verdict (0
+      when a child decided); any other join reports
+      ``closest_composition_eigenvalue``, as ``dual_sampling`` does over its
+      dual cone, and ``dual_samples`` on every verdict that sampled.  A P
+      refutation reports the effort key of the join's own route.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
@@ -912,14 +888,21 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                 return _verdict(MEMBER, "join", cfg, certificate=cert, sweeps=sweeps)
             if found is not None:
                 return _dual_verdict(found, "join_dual_witness", cfg, sweeps=sweeps)
-            return _verdict(UNKNOWN, "join", cfg, **sides, closest_pairing=closest,
-                            sweeps=sweeps)
-        witness, samples, closest = _dual_sampling(phi, dual_expr(expr), cfg)
-        if witness is not None:
-            return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=witness,
-                            dual_samples=samples)
-        return _verdict(UNKNOWN, "join", cfg, **sides, closest_composition_eigenvalue=closest,
-                        dual_samples=samples)
+            effort = {"sweeps": sweeps}
+            approach = {"closest_pairing": closest, **effort}
+        else:
+            witness, samples, closest = _dual_sampling(phi, dual_expr(expr), cfg)
+            effort = {"dual_samples": samples}
+            if witness is not None:
+                return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=witness, **effort)
+            approach = {"closest_composition_eigenvalue": closest, **effort}
+        # the join lies in P, so a refutation of P, a rank-one Ad_V in SP
+        # and hence in every dual cone, refutes it
+        positive = member(phi, normalize(Base("Pk", 1), m, n), cfg)
+        if positive.status == NOT_MEMBER:
+            return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=positive.witness,
+                            **effort)
+        return _verdict(UNKNOWN, "join", cfg, **sides, **approach)
 
     raise TypeError(f"membership needs a normalized cone expression, got {expr!r}")
 

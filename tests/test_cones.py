@@ -247,7 +247,7 @@ def test_sampled_generators_verifiably_members(text):
 
 @pytest.mark.parametrize("text", ["SP", "SPk(2)", "CP", "t(CP)", "join(CP,t(CP))",
                                   "join(SPk(2),t(SPk(2)))", "meet(CP,t(CP))", "Pk(2)",
-                                  # per-sample member admission; inclusion admission
+                                  # rank-one conjugations; the included side
                                   "meet(Pk(2),t(CP))", "meet(CP,Pk(2))"])
 def test_sampled_generators_carry_sound_certificates(text):
     # the non-square shapes exercise the stacked twirl's reshape
@@ -280,17 +280,54 @@ def _certificate_nodes(cert):
             yield from _certificate_nodes(part["certificate"])
 
 
-@pytest.mark.parametrize("text,twirled", [("meet(Pk(2),t(CP))", [False, True]),
-                                          ("meet(t(CP),Pk(2))", [True, False])])
-def test_sampled_meet_certificates_follow_the_meet_sides(text, twirled):
-    # each side of a both certificate proves the meet's side of that name;
-    # the rank-one conjugations that top the sample up carry kraus ones
+@pytest.mark.parametrize("text,side", [("meet(CP,Pk(2))", "CP"), ("meet(Pk(2),CP)", "CP"),
+                                       ("meet(Pk(2),t(CP))", None),
+                                       ("meet(t(CP),Pk(2))", None)])
+def test_sampled_meet_draws_the_included_side_or_rank_one_conjugations(text, side):
+    # a side that the other side includes is the meet; otherwise rank-one
+    # conjugations, which lie in every mapping cone
     expr = normalize(parse_cone(text), 3, 3)
-    pairs = cones._sample_with_certs(expr, 3, 3, 12, np.random.default_rng(5))
-    both = [cert for _, cert in pairs if cert["type"] == "both"]
-    assert both
-    for cert in both:
-        assert [cert[side]["type"] == "twirled" for side in ("left", "right")] == twirled
+    chois, certs = cones._sample_stack(expr, 3, 3, 12, np.random.default_rng(5))
+    if side is not None:
+        same, same_certs = cones._sample_stack(normalize(parse_cone(side), 3, 3), 3, 3, 12,
+                                               np.random.default_rng(5))
+        assert np.array_equal(chois, same)
+        assert [c["type"] for c in certs] == [c["type"] for c in same_certs]
+    else:
+        assert all(c["type"] == "kraus" and c["rank_bound"] == 1 for c in certs)
+    for choi, cert in zip(chois, certs):
+        assert recheck(superop.from_choi(choi, 3, 3), cones.Verdict(MEMBER, certificate=cert))
+
+
+def test_sampling_never_calls_member(monkeypatch):
+    # every expression of acceptance criterion 5 and its dual at 3x3
+    atoms = ["CP", "t(CP)", "Pk(2)", "SPk(2)"]
+    texts = atoms + [f"t({a})" for a in atoms] + [f"dual({a})" for a in atoms]
+    texts += [f"{op}({a},{b})" for op in ("meet", "join") for a in atoms for b in atoms
+              if a != b]
+    texts += ["meet(t(CP),join(CP,SPk(2)))", "join(t(CP),meet(CP,Pk(2)))",
+              "t(meet(CP,t(CP)))", "dual(meet(Pk(2),t(CP)))"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling called member")
+
+    monkeypatch.setattr(cones, "member", refuse)
+    for text in texts:
+        expr = normalize(parse_cone(text), 3, 3)
+        for e in (expr, dual_expr(expr)):
+            assert len(sample_generators(e, 3, 3, 10, seed=7)) == 10
+
+
+def test_nested_sampled_join_makes_few_member_calls(monkeypatch):
+    # the dual meet(CP, join(SP, t(CP))) is sampled without deciding samples
+    expr = normalize(parse_cone("join(CP,meet(P,t(CP)))"), 2, 3)
+    phi = superop.random_hp_map(2, 3, 4)
+    calls = []
+    decide = cones.member
+    monkeypatch.setattr(cones, "member", lambda *a, **k: calls.append(1) or decide(*a, **k))
+    verdict = cones.member(phi, expr, CFG)
+    assert recheck(phi, verdict)
+    assert len(calls) <= 10
 
 
 def test_generator_sampling_deterministic():
@@ -810,15 +847,15 @@ def test_decomposition_certifies_decomposable_cho_kye_lee_maps(abc):
         assert recheck(phi, verdict)
 
 
-def _near_decomposable(m, n, rng):
-    """A decomposable map minus a random multiple of a rank-one conjugation,
-    which lands on either side of the join's boundary."""
+def _near_decomposable(m, n, rng, low=0.5):
+    """A decomposable map minus a random multiple, from ``low`` to 1.5, of a
+    rank-one conjugation, which lands on either side of the join's boundary."""
     d = m * n
     g, h = linalg.random_complex((2, d, d), rng)
     c = g @ g.conj().T + superop.twirl_stack(h @ h.conj().T, m, n)
     w = linalg.random_complex(d, rng)
     w /= np.linalg.norm(w)
-    c = c - rng.uniform(0.5, 1.5) * np.real(np.vdot(w, c @ w)) * np.outer(w, w.conj())
+    c = c - rng.uniform(low, 1.5) * np.real(np.vdot(w, c @ w)) * np.outer(w, w.conj())
     return superop.from_choi((c + c.conj().T) / 2, m, n)
 
 
@@ -849,6 +886,31 @@ def test_decomposition_decides_wherever_sampling_refutes():
     assert engine > sampled
 
 
+def _nth_near_decomposable(m, n, i):
+    """The i-th map, from 1, of the _near_decomposable corpus at dims m x n."""
+    rng = np.random.default_rng([m, n])
+    for _ in range(i):
+        phi = _near_decomposable(m, n, rng)
+    return phi
+
+
+def test_join_that_the_projections_leave_open_is_refuted_by_p():
+    # the projections run every sweep without deciding, but the map is not
+    # positive, and P contains the join
+    phi = _nth_near_decomposable(3, 2, 8)
+    cert, found, sweeps, _ = cones._decomposition(phi, CFG, False)
+    assert cert is None and found is None and sweeps == linalg.MAX_SWEEPS
+    verdict = member(phi, normalize(parse_cone(JOIN), 3, 2), CFG)
+    assert verdict.status == NOT_MEMBER
+    assert verdict.diagnostics["route"] == "join_dual_witness"
+    assert verdict.diagnostics["sweeps"] == linalg.MAX_SWEEPS
+    wit = verdict.witness
+    assert wit["psi_certificate"]["type"] == "kraus"
+    assert wit["psi_certificate"]["rank_bound"] == 1
+    assert abs(wit["pairing"] - (-0.284)) < 5e-3
+    assert recheck(phi, verdict)
+
+
 def test_member_and_witness_search_refute_join_with_the_same_element():
     expr = normalize(parse_cone(JOIN), 3, 3)
     for i, abc in enumerate(INDECOMPOSABLE):
@@ -872,6 +934,64 @@ def test_decomposition_output_is_byte_identical_for_a_seed():
         a, b = (json.dumps(cli._verdict_json(member(phi, expr, MemberConfig(seed=7))))
                 for _ in range(2))
         assert a == b
+
+
+# sampled joins of the composition test, each at its dims
+JOIN_CORPUS = [((2, 3), "join(P,t(CP))"), ((2, 3), "join(t(CP),meet(CP,P))"),
+               ((3, 2), "join(P,t(CP))"), ((3, 3), "join(Pk(2),t(Pk(2)))"),
+               ((3, 3), "join(SPk(2),t(SPk(2)))"), ((3, 3), "join(Pk(2),t(CP))"),
+               ((3, 3), "join(SPk(2),t(CP))"), ((3, 3), "join(t(CP),meet(CP,Pk(2)))")]
+
+
+@pytest.mark.parametrize("dims,text", JOIN_CORPUS)
+def test_sampled_join_is_unknown_only_where_p_does_not_refute(dims, text):
+    m, n = dims
+    rng = np.random.default_rng([m, n, len(text)])
+    expr = normalize(parse_cone(text), m, n)
+    p = normalize(parse_cone("P"), m, n)
+    for _ in range(30):
+        phi = _near_decomposable(m, n, rng, low=0.3)
+        verdict = member(phi, expr, CFG)
+        assert recheck(phi, verdict)
+        if verdict.status == UNKNOWN:
+            assert member(phi, p, CFG).status != NOT_MEMBER
+
+
+SYMMETRY_CONES = ("P", "Pk(2)", "SPk(2)", "CP", "t(CP)", "join(CP,t(CP))", "meet(CP,t(CP))",
+                  "join(Pk(2),t(Pk(2)))")
+
+
+def _symmetry_corpus():
+    """Near-decomposable, random Hermiticity-preserving and 2-positive maps
+    at 3x3, 2x3 and 3x2, each with the rng that drew it."""
+    for m, n in ((3, 3), (2, 3), (3, 2)):
+        rng = np.random.default_rng([m, n, 3])
+        for _ in range(3):
+            two_positive = _two_positive_not_cp(seed=int(rng.integers(1000)))
+            if m == 2:
+                two_positive = two_positive.compose(ad_map(linalg.random_complex((3, 2), rng)))
+            if n == 2:
+                two_positive = ad_map(linalg.random_complex((2, 3), rng)).compose(two_positive)
+            for phi in (_near_decomposable(m, n, rng), superop.random_hp_map(m, n, rng),
+                        two_positive):
+                yield phi, rng
+
+
+def test_no_decided_verdict_flips_under_the_mapping_cone_symmetries():
+    # every normalized cone C has phi in C iff phi* in C (dims swapped) iff
+    # Ad_U . phi . Ad_W in C for unitaries U and W
+    decided = 0
+    for phi, rng in _symmetry_corpus():
+        m, n = phi.dims
+        rotated = (ad_map(linalg.random_unitary(n, rng)).compose(phi)
+                   .compose(ad_map(linalg.random_unitary(m, rng))))
+        for text in SYMMETRY_CONES:
+            statuses = [member(chi, normalize(parse_cone(text), *chi.dims), CFG).status
+                        for chi in (phi, phi.adjoint(), rotated)]
+            assert not {MEMBER, NOT_MEMBER} <= set(statuses), (text, m, n, statuses)
+            decided += sum(status != UNKNOWN for status in statuses)
+    # 624 of the 648 verdicts are decided
+    assert decided >= 600
 
 
 # ---------------------------------------------------------------------------
@@ -1041,6 +1161,8 @@ SCHEMA_CASES = [
                  ["left", "right", "closest_pairing", "sweeps"], id="join_unknown"),
     pytest.param("join_dual_witness", lambda: _rotated(_ckl_choi(2.0, 1.0, 0.0), 43), JOIN,
                  NOT_MEMBER, ["sweeps"], id="join_dual_witness"),
+    pytest.param("join_dual_witness", lambda: _nth_near_decomposable(3, 3, 17), JOIN,
+                 NOT_MEMBER, ["sweeps"], id="join_dual_witness_positive"),
     pytest.param("join_dual_witness", lambda: superop.random_hp_map(3, 3, 1),
                  "join(Pk(2),t(Pk(2)))", NOT_MEMBER, ["dual_samples"],
                  id="join_dual_witness_sampled"),
