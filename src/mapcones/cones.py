@@ -18,7 +18,9 @@ sound refuter plus two closed-form certifiers: an exact one for maps whose
 Choi matrix has the ``a*I - b|w><w|`` spectral pattern, and a split of the
 Choi matrix into such a pattern on the boundary of Pk(k) plus a PSD
 remainder (paper thm5: the family map is k-positive, and Pk(k) contains
-CP).  Every refutation of k-positivity or CP is a generator of the dual
+CP).  The family's formulas (its Choi matrix, fan_k and the top-k
+truncation) are :mod:`mapcones.family`'s; the routes that apply them are
+here.  Every refutation of k-positivity or CP is a generator of the dual
 cone SPk: a conjugation Ad_V with rank V <= k.  V is the top-k singular
 truncation of unvec(w) for a family-pattern map, the lowest Choi
 eigenvector at k = min(m, n), and otherwise a point of the minimization of
@@ -51,7 +53,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import linalg
+from . import family, linalg
 from .linalg import DimensionError
 from . import superop
 from .superop import SuperOperator, ad_map, from_kraus, unvec
@@ -189,18 +191,18 @@ def format_cone(expr: ConeExpr) -> str:
     raise TypeError(f"not a cone expression: {expr!r}")
 
 
-def _dual_of(expr: ConeExpr) -> ConeExpr:
-    # expr must already be normalized (no Dual nodes, aliases resolved)
+def dual_expr(expr: ConeExpr) -> ConeExpr:
+    """Dual of a normalized cone expression; the result contains no Dual nodes."""
     if isinstance(expr, Base):
         if expr.kind == "CP":
             return expr
         return Base("SPk" if expr.kind == "Pk" else "Pk", expr.k)
     if isinstance(expr, Twirl):
-        return _collapse_twirl(Twirl(_dual_of(expr.child)))
+        return _collapse_twirl(Twirl(dual_expr(expr.child)))
     if isinstance(expr, Meet):
-        return Join(_dual_of(expr.left), _dual_of(expr.right))
+        return Join(dual_expr(expr.left), dual_expr(expr.right))
     if isinstance(expr, Join):
-        return Meet(_dual_of(expr.left), _dual_of(expr.right))
+        return Meet(dual_expr(expr.left), dual_expr(expr.right))
     raise TypeError(f"dual of unnormalized expression: {expr!r}")
 
 
@@ -234,13 +236,8 @@ def normalize(expr: ConeExpr, m: int, n: int) -> ConeExpr:
     if isinstance(expr, Join):
         return Join(normalize(expr.left, m, n), normalize(expr.right, m, n))
     if isinstance(expr, Dual):
-        return _dual_of(normalize(expr.child, m, n))
+        return dual_expr(normalize(expr.child, m, n))
     raise TypeError(f"not a cone expression: {expr!r}")
-
-
-def dual_expr(expr: ConeExpr) -> ConeExpr:
-    """Dual of a normalized cone expression; the result contains no Dual nodes."""
-    return _dual_of(expr)
 
 
 def includes(outer: ConeExpr, inner: ConeExpr) -> bool:
@@ -359,17 +356,9 @@ def _spectral_family_pattern(phi: SuperOperator, vals, vecs, eps: float):
     if b <= eps:
         return None
     w = vecs[:, 0]
-    residual = np.max(np.abs(phi.choi - (a * np.eye(d) - b * np.outer(w, w.conj()))))
-    if residual > eps:
+    if np.max(np.abs(phi.choi - family.choi(a, b, w))) > eps:
         return None
     return a, b, w
-
-
-def _family_kfan(w, m: int, n: int, k: int):
-    """Sum of the k largest eigenvalues of W W^dagger for W = unvec(w), of
-    one vector w or of each row of a stack of them."""
-    sv = np.linalg.svd(np.swapaxes(w.reshape(*w.shape[:-1], m, n), -1, -2), compute_uv=False)
-    return np.sum(sv[..., :k] ** 2, axis=-1)
 
 
 def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optional[dict]:
@@ -389,12 +378,12 @@ def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optiona
     if a <= linalg.tolerance(phi.choi, tol):
         return None
     w = vecs[:, 0]
-    fan = float(_family_kfan(w, m, n, k))
+    fan = float(family.fan(w, m, n, k))
     b = a / fan
     lhs = (b / a) * fan
     if lhs > 1.0 + tol:
         return None
-    fam = a * np.eye(m * n) - b * np.outer(w, w.conj())
+    fam = family.choi(a, b, w)
     rest = phi.choi - fam
     floor = _psd_floor(linalg.hermitian_part_eigvals(rest)[0], linalg.tolerance(rest, tol))
     if floor is None:
@@ -446,10 +435,9 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         chois = superop.kraus_stack(ops)
         w = superop.vec_stack(ops[:, 0])
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
-        lam = (1.0 - 1e-12) / _family_kfan(w, m, n, k)
+        lam = (1.0 - 1e-12) / family.fan(w, m, n, k)
         fam = mode == 0
-        chois[fam] = np.eye(m * n) - lam[fam, None, None] * (
-            w[fam, :, None] * w[fam, None, :].conj())
+        chois[fam] = family.choi(1.0, lam[fam], w[fam])
         co = mode == 2
         chois[co] = superop.twirl_stack(chois[co], m, n)
 
@@ -673,7 +661,7 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
             delta = max(0.0, -low)
             scale = neg.sum() + delta * m * n
             rho = (rho + delta * np.eye(m * n)) / scale
-            # <rho, C> as pair(psi, phi) computes it
+            # <rho, C>, the pairing that recheck recomputes with pair
             value = float(np.real(np.vdot(c, rho)))
             closest = min(closest, value)
             if value < -eps:
@@ -682,7 +670,7 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
                          {"type": "twirled", "inner": _floor_cert((neg[-1] + delta) / scale)}]
                 left, right = sides[::-1] if twirl_first else sides
                 cert = {"type": "both", "left": left, "right": right}
-                return None, (psi, pair(psi, phi, cfg.tol), cert), sweep, closest
+                return None, (psi, value, cert), sweep, closest
         rest_vals = np.maximum(x_vals, 0.0)
         rest = superop.twirl_stack((x_vecs * rest_vals) @ x_vecs.conj().T, m, n)
         rest_floor = rest_vals[0]
@@ -744,6 +732,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     generators of the dual cone.  A join that neither route decides is
     refuted by a P refutation, a rank-one Ad_V: every normalized cone lies
     in P, so Ad_V lies in every dual cone.  Only then is it ``unknown``.
+    P is decided once per join: a child P's refutation refutes the join
+    before either route runs, and a child P left open is not decided again.
 
     Every verdict's ``diagnostics`` hold ``route``, then the effort keys of
     that route, then ``cfg`` (``cfg.as_dict()``):
@@ -770,7 +760,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
       when a child decided); any other join reports
       ``closest_composition_eigenvalue``, as ``dual_sampling`` does over its
       dual cone, and ``dual_samples`` on every verdict that sampled.  A P
-      refutation reports the effort key of the join's own route.
+      refutation reports the effort key of the join's own route, except
+      that a child P's refutation comes before any sampling and reports
+      no ``dual_samples``.
     """
     if not phi.is_hermiticity_preserving(cfg.tol):
         raise ValueError("membership is defined for Hermiticity-preserving maps only")
@@ -801,7 +793,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         pattern = _spectral_family_pattern(phi, vals, vecs, eps)
         if pattern is not None and pattern[0] > eps:
             a, b, w = pattern
-            fan = float(_family_kfan(w, m, n, k))
+            fan = float(family.fan(w, m, n, k))
             lhs = (b / a) * fan
             # the pairing a - b * fan_k(w) is the one the refuters compare
             # with -eps, so an accepted map has no refutation; the ratio is
@@ -812,8 +804,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
                                              "k": k, "threshold_lhs": lhs})
             # the top-k singular truncation of unvec(w) is the unit vector of
             # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
-            u, s, vh = np.linalg.svd(unvec(w, m, n))
-            v = (u[:, :k] * s[:k]) @ vh[:k]
+            v = family.truncation(unvec(w, m, n), k)
             found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
             if found is not None:
                 return _dual_verdict(found, "family_projection", cfg)
@@ -875,13 +866,21 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
 
     if isinstance(expr, Join):
         effort = {"sweeps": 0} if expr in _DECOMPOSABLE else {}
-        sides = {}
+        # the join lies in P, so a refutation of P, a rank-one Ad_V in SP
+        # and hence in every dual cone, refutes it; a child P is decided once
+        p = normalize(Base("Pk", 1), m, n)
+        sides, positive = {}, None
         for side, child in (("left", expr.left), ("right", expr.right)):
             verdict = member(phi, child, cfg)
             if verdict.status == MEMBER:
                 return _verdict(MEMBER, "join", cfg, certificate=verdict.certificate,
                                 side=side, **effort)
             sides[side] = verdict.status
+            if child == p:
+                positive = verdict
+        if positive is not None and positive.status == NOT_MEMBER:
+            return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=positive.witness,
+                            **effort)
         if expr in _DECOMPOSABLE:
             cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
             if cert is not None:
@@ -896,9 +895,7 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             if witness is not None:
                 return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=witness, **effort)
             approach = {"closest_composition_eigenvalue": closest, **effort}
-        # the join lies in P, so a refutation of P, a rank-one Ad_V in SP
-        # and hence in every dual cone, refutes it
-        positive = member(phi, normalize(Base("Pk", 1), m, n), cfg)
+        positive = positive or member(phi, p, cfg)
         if positive.status == NOT_MEMBER:
             return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=positive.witness,
                             **effort)
@@ -987,12 +984,10 @@ def _recheck_certificate(phi: SuperOperator, cert: dict, tol: float) -> bool:
             return True  # no n x m operator has a higher rank
         return all(linalg.numerical_rank(op) <= cert["rank_bound"] for op in cert["ops"])
     if kind == "family":
-        d = phi.m * phi.n
         a, b, w = cert["a"], cert["b"], cert["w"]
-        rebuilt = a * np.eye(d) - b * np.outer(w, w.conj())
-        if np.max(np.abs(phi.choi - rebuilt)) > eps or a <= 0 or "k" not in cert:
+        if np.max(np.abs(phi.choi - family.choi(a, b, w))) > eps or a <= 0 or "k" not in cert:
             return False
-        return (b / a) * _family_kfan(w, phi.m, phi.n, cert["k"]) <= 1.0 + tol
+        return (b / a) * family.fan(w, phi.m, phi.n, cert["k"]) <= 1.0 + tol
     if kind == "twirled":
         return _recheck_certificate(phi.right_transpose(), cert["inner"], tol)
     if kind == "both":

@@ -73,23 +73,6 @@ def numerical_rank(op) -> int:
     return int(np.sum(sv > 1e-8 * sv[0]))
 
 
-def hermitian_eigen(m, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a self-adjoint matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  Inputs farther than
-    :func:`tolerance` from self-adjointness are rejected.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"hermitian_eigen needs a square matrix, got {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > tolerance(m, tol):
-        raise ValueError(f"matrix is not self-adjoint within {tol} * max|M| "
-                         f"(defect {defect:.3e})")
-    return hermitian_part_eigen(m)
-
-
 def hermitian_part_eigen(m):
     """Eigendecomposition of the Hermitian part (M + M^dagger) / 2.
 

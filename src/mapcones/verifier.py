@@ -188,8 +188,7 @@ def check_thm4(m: int, n: int, k: int, trials: int, seed,
             worst = max(worst, -_min_choi_eig(below.compose(ad_map(w.conj().T))), 0.0)
         # above threshold a refuting rank-k conjugation must exist; the top-k
         # singular truncation of V supplies it
-        u, s, vh = np.linalg.svd(v)
-        wk = u[:, :k] @ np.diag(s[:k]) @ vh[:k]
+        wk = family.truncation(v, k)
         if _min_choi_eig(ad_map(wk.conj().T).compose(above)) >= -tol:
             worst = max(worst, 1.0)
     return _report(CHECK_IDS["thm4"].format(k=k), m, n, trials, worst, seed, tol)

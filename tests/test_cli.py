@@ -210,6 +210,10 @@ _NOT_HP = superop.superop_to_json(
                   "--k", "2"], 66, id="phi_lambda_nan"),
     pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "inf",
                   "--k", "2"], 66, id="phi_lambda_inf"),
+    pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "0.4",
+                  "--k", "0"], 66, id="phi_lambda_k_0"),
+    pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "0.4",
+                  "--k", "4"], 66, id="phi_lambda_k_4"),
 ])
 def test_malformed_input_exits_with_its_code_and_one_error_line(capsys, tmp_path,
                                                                 argv, code):

@@ -957,6 +957,28 @@ def test_sampled_join_is_unknown_only_where_p_does_not_refute(dims, text):
             assert member(phi, p, CFG).status != NOT_MEMBER
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_a_join_decides_its_child_p_once(monkeypatch, dims):
+    # the child's verdict is the P refutation, so one member(..., P) per map
+    m, n = dims
+    text = "join(P,t(CP))"
+    rng = np.random.default_rng([m, n, len(text)])
+    expr = normalize(parse_cone(text), m, n)
+    p = normalize(parse_cone("P"), m, n)
+    calls = []
+    decide = cones.member
+
+    def counting(phi, e, cfg=CFG):
+        calls.append(e == p)
+        return decide(phi, e, cfg)
+
+    monkeypatch.setattr(cones, "member", counting)
+    for _ in range(30):
+        phi = _near_decomposable(m, n, rng, low=0.3)
+        assert recheck(phi, decide(phi, expr, CFG))
+    assert sum(calls) <= 30
+
+
 SYMMETRY_CONES = ("P", "Pk(2)", "SPk(2)", "CP", "t(CP)", "join(CP,t(CP))", "meet(CP,t(CP))",
                   "join(Pk(2),t(Pk(2)))")
 
@@ -1166,6 +1188,8 @@ SCHEMA_CASES = [
     pytest.param("join_dual_witness", lambda: superop.random_hp_map(3, 3, 1),
                  "join(Pk(2),t(Pk(2)))", NOT_MEMBER, ["dual_samples"],
                  id="join_dual_witness_sampled"),
+    pytest.param("join_dual_witness", lambda: superop.random_hp_map(3, 3, 1), "join(P,t(CP))",
+                 NOT_MEMBER, [], id="join_dual_witness_child_p"),
     pytest.param("join", _sampled_join_generator, "join(Pk(2),t(Pk(2)))", UNKNOWN,
                  ["left", "right", "closest_composition_eigenvalue", "dual_samples"],
                  id="join_sampled_unknown"),

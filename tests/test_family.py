@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapcones import linalg
+from mapcones import family, linalg
 from mapcones.family import (
     PhiLambdaSpec,
     brute_force_k_positivity,
@@ -9,7 +9,7 @@ from mapcones.family import (
     cp_threshold,
     k_positivity_threshold,
 )
-from mapcones.superop import ad_map
+from mapcones.superop import SuperOperator, ad_map, vec, vec_stack
 
 RNG = np.random.default_rng(42)
 
@@ -108,3 +108,51 @@ def test_brute_force_deterministic():
         assert b[1] is None
     else:
         assert np.array_equal(a[1], b[1])
+
+
+def test_fan_and_choi_of_a_stack_match_each_row():
+    rng = np.random.default_rng(21)
+    w = vec_stack(linalg.random_complex((5, 3, 2), rng))
+    a, b = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)
+    for k in (1, 2):
+        fans = family.fan(w, 2, 3, k)
+        assert fans.shape == (5,)
+        assert all(fans[i] == family.fan(w[i], 2, 3, k) for i in range(5))
+    chois = family.choi(a, b, w)
+    assert chois.shape == (5, 6, 6)
+    assert all(np.array_equal(chois[i], family.choi(a[i], b[i], w[i])) for i in range(5))
+
+
+def test_family_choi_is_a_trace_minus_b_conjugation():
+    v = linalg.random_complex((3, 2), RNG)
+    x = linalg.random_complex((2, 2), RNG)
+    phi = SuperOperator(2, 3, family.choi(0.7, 0.2, vec(v)))
+    expect = 0.7 * np.trace(x) * np.eye(3) - 0.2 * v @ x @ v.conj().T
+    assert np.allclose(phi.apply(x), expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 2), (2, 4)])
+def test_thresholds_are_the_inverse_fan(n, m):
+    v = linalg.random_complex((n, m), np.random.default_rng([n, m]))
+    for k in range(1, min(m, n) + 1):
+        assert k_positivity_threshold(v, k) == 1 / family.fan(vec(v), m, n, k)
+    assert cp_threshold(v) == k_positivity_threshold(v, min(m, n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_truncation_is_the_eckart_young_minimizer(k):
+    v = linalg.random_complex((3, 4), np.random.default_rng(k))
+    vk = family.truncation(v, k)
+    assert linalg.numerical_rank(vk) <= k
+    sv = linalg.singular_values(v)
+    assert np.linalg.norm(v - vk) ** 2 == pytest.approx(np.sum(sv[k:] ** 2), rel=1e-12,
+                                                         abs=1e-12)
+
+
+def test_threshold_of_an_underflowing_fan_is_a_value_error():
+    # the trace of V V^dagger underflows to 0 in float64
+    with pytest.raises(ValueError):
+        cp_threshold(1e-170 * np.eye(3))
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            k_positivity_threshold(np.eye(3), k)

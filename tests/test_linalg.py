@@ -31,20 +31,6 @@ def test_hermiticity_defect_zero_for_hermitian():
     assert linalg.hermiticity_defect(h + 0.1j * np.eye(4)) > 0.01
 
 
-def test_hermitian_eigen_reconstructs():
-    h = linalg.random_hermitian(5, RNG)
-    vals, vecs = linalg.hermitian_eigen(h)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - h) < 1e-10
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    m = linalg.random_complex((3, 3), RNG)
-    m = m + 1j * np.eye(3) + m  # generically far from Hermitian
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigen(m)
-
-
 def test_singular_values_descending_and_match_svd():
     a = linalg.random_complex((3, 5), RNG)
     s = linalg.singular_values(a)
