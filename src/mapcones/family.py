@@ -42,10 +42,10 @@ def fan(w, m: int, n: int, k: int):
 
 
 def truncation(v, k: int) -> np.ndarray:
-    """The top-k singular truncation of the operator V: of all operators of
-    rank <= k the closest to V (Eckart-Young)."""
+    """The top-k singular truncation of the operator V, or of each operator
+    of a stack: of all operators of rank <= k the closest to V (Eckart-Young)."""
     u, s, vh = np.linalg.svd(v)
-    return (u[:, :k] * s[:k]) @ vh[:k]
+    return (u[..., :k] * s[..., None, :k]) @ vh[..., :k, :]
 
 
 @dataclass(frozen=True)

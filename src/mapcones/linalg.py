@@ -200,11 +200,6 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the left factor index-major (f_kl x e_ij order)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def matrix_unit(dim: int, k: int, l: int) -> np.ndarray:
     """The basis matrix with a single 1 at row k, column l."""
     u = np.zeros((dim, dim), dtype=np.complex128)
@@ -234,16 +229,6 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 def random_hermitian(dim: int, rng) -> np.ndarray:
     g = random_complex((dim, dim), rng)
     return (g + g.conj().T) / 2
-
-
-def random_projection(dim: int, rank: int, seed) -> np.ndarray:
-    """Random rank-``rank`` orthogonal projection on C^dim, deterministic in ``seed``."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
-    rng = np.random.default_rng(seed)
-    g = random_complex((dim, rank), rng)
-    q, _ = np.linalg.qr(g)
-    return q @ q.conj().T
 
 
 def matrix_to_json(m) -> dict:

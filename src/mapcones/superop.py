@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionError, as_matrix, hs_inner
+from .linalg import DimensionError, as_matrix
 
 
 def vec(v) -> np.ndarray:
@@ -73,24 +73,15 @@ class SuperOperator:
         return np.einsum("kl,kilj->ij", x, self._choi4())
 
     def adjoint(self) -> "SuperOperator":
-        """Adjoint map B(H) -> B(K) for the Hilbert-Schmidt pairing.
-
-        Built from the coefficient conjugation rule: the adjoint sends e_ij to
-        sum_kl conj(Phi_{ij,kl}) f_kl, which on the Choi matrix is a conjugate
-        plus a swap of the K/H index roles.
-        """
-        c4 = self._choi4()
-        adj = np.conj(c4.transpose(1, 0, 3, 2)).reshape(self.m * self.n, self.m * self.n)
-        return SuperOperator(self.n, self.m, adj)
+        """Adjoint map B(H) -> B(K) for the Hilbert-Schmidt pairing."""
+        return SuperOperator(self.n, self.m, adjoint_stack(self.choi, self.m, self.n))
 
     def compose(self, other: "SuperOperator") -> "SuperOperator":
         """self after other: (self . other)(X) = self(other(X))."""
         if self.m != other.n:
-            raise DimensionError(
-                f"cannot compose: inner dimensions {self.m} and {other.n} differ"
-            )
-        c = np.einsum("kilj,iajb->kalb", other._choi4(), self._choi4())
-        return SuperOperator(other.m, self.n, c.reshape(other.m * self.n, other.m * self.n))
+            raise DimensionError(f"cannot compose: inner dimensions {self.m} and {other.n} differ")
+        return SuperOperator(other.m, self.n,
+                             compose_stack(self.choi, other.choi, other.m, self.m, self.n))
 
     def transpose_twirl(self) -> "SuperOperator":
         """The two-sided twirl t . Phi . t; on the Choi matrix a full transpose."""
@@ -141,6 +132,37 @@ def kraus_stack(ops) -> np.ndarray:
     return np.einsum("zri,zrj->zij", w, w.conj())
 
 
+def _realign(a, p: int, q: int, r: int, s: int) -> np.ndarray:
+    """Entry [.., (p q), (r s)] of a matrix stack as entry [.., (p r), (q s)]:
+    the Choi matrix C[k i, l j] as S[k l, i j], and back."""
+    if a.shape[-2:] != (p * q, r * s):
+        raise DimensionError(f"expected {p * q}x{r * s} matrices, got {a.shape[-2:]}")
+    a = np.swapaxes(a.reshape(*a.shape[:-2], p, q, r, s), -3, -2)
+    return a.reshape(*a.shape[:-4], p * r, q * s)
+
+
+def compose_stack(outer, inner, m: int, k: int, n: int) -> np.ndarray:
+    """Choi matrices of outer . inner for maps inner: m -> k and outer: k -> n,
+    each a Choi matrix or a stack, broadcast over the leading axes.  S is the
+    transpose of the map's matrix on row-major vectors, so S(Phi . Psi) =
+    S(Psi) S(Phi) and the whole stack is one matmul."""
+    s = _realign(inner, m, k, m, k) @ _realign(outer, k, n, k, n)
+    return _realign(s, m, m, n, n)
+
+
+def adjoint_stack(chois, m: int, n: int) -> np.ndarray:
+    """Choi matrices of the adjoints n -> m of maps m -> n: S(Phi^dagger) =
+    S(Phi)^dagger, a conjugate plus a swap of the K/H index roles."""
+    s = _realign(chois, m, n, m, n)
+    return _realign(np.swapaxes(s, -1, -2).conj(), n, n, m, m)
+
+
+def map_inner_stack(a, b) -> np.ndarray:
+    """<Phi, Psi> = Tr(C_Phi C_Psi^dagger) for Choi matrices or stacks a and b,
+    broadcast over the leading axes: a batched ``vdot(b, a)``."""
+    return (a * np.conj(b)).sum(axis=(-2, -1))
+
+
 def adjoint_compositions(chois, phi: "SuperOperator") -> np.ndarray:
     """Choi matrices of psi^dagger . phi for a stack of m -> n maps psi, as
     ``psi.adjoint().compose(phi)`` builds them one at a time.
@@ -184,8 +206,7 @@ def ad_map(v) -> SuperOperator:
 
 
 def identity_map(d: int) -> SuperOperator:
-    w = vec(np.eye(d))
-    return SuperOperator(d, d, np.outer(w, w.conj()))
+    return ad_map(np.eye(d))
 
 
 def trace_map(m: int, n: int | None = None) -> SuperOperator:
@@ -196,23 +217,18 @@ def trace_map(m: int, n: int | None = None) -> SuperOperator:
 
 def transpose_map(d: int) -> SuperOperator:
     """Transposition f_kl -> f_lk on B(C^d); the Choi matrix is the swap operator."""
-    c = np.zeros((d, d, d, d), dtype=np.complex128)
-    for k in range(d):
-        for l in range(d):
-            c[k, l, l, k] = 1.0
+    c = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d).transpose(0, 1, 3, 2)
     return SuperOperator(d, d, c.reshape(d * d, d * d))
 
 
 def map_inner(phi: SuperOperator, psi: SuperOperator) -> complex:
-    """Inner product of maps, sum_kl <Phi(f_kl), Psi(f_kl)>.
-
-    Evaluated as the Hilbert-Schmidt product of the Choi matrices, which
-    equals the defining basis sum because the Choi isomorphism is an isometry;
+    """Inner product of maps, sum_kl <Phi(f_kl), Psi(f_kl)>, evaluated as the
+    Hilbert-Schmidt product of the Choi matrices (:func:`map_inner_stack`);
     ``verifier.check_isometry`` tests that identity against the basis sum.
     """
     if phi.dims != psi.dims:
         raise DimensionError(f"map_inner needs equal dims, got {phi.dims} and {psi.dims}")
-    return hs_inner(phi.choi, psi.choi)
+    return complex(map_inner_stack(phi.choi, psi.choi))
 
 
 def random_map(m: int, n: int, rng) -> SuperOperator:

@@ -4,7 +4,9 @@ Each check runs seeded random instances, records the worst absolute
 violation observed and passes iff that stays within tolerance.  Statements
 quantifying over infinite sets (all dual elements, all projections) are
 realized as sampled universal checks plus planted counterexamples; reports
-state the trial counts.
+state the trial counts.  A check draws its instances trial by trial, then
+runs its algebra on the stacked Choi matrices with the stack kernels of
+:mod:`superop`.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import cones, family, linalg, superop
-from .cones import Base, MemberConfig, Twirl, dual_expr, sample_generators
-from .linalg import matrix_unit
-from .superop import (SuperOperator, ad_map, identity_map, map_inner,
-                      transpose_map, vec)
+from .cones import dual_expr
+from .superop import identity_map, transpose_map
 
 
 @dataclass(frozen=True)
@@ -53,78 +53,81 @@ def _report(check_id, m, n, trials, violation, seed, tol, notes="") -> CheckRepo
                        bool(violation <= tol), seed, tol, notes)
 
 
-def _min_choi_eig(phi: SuperOperator) -> float:
-    return float(linalg.hermitian_part_eigvals(phi.choi)[0])
+def _cp_violation(chois) -> float:
+    """How far the least Choi eigenvalue of a stack of maps lies below zero."""
+    return max(0.0, -float(linalg.hermitian_part_eigvals(chois)[..., 0].min()))
+
+
+def _dagger(ops) -> np.ndarray:
+    return np.swapaxes(ops, -1, -2).conj()
+
+
+def _cone_stack(expr, m: int, n: int, count: int, seed) -> np.ndarray:
+    """The Choi stack of ``sample_generators(expr, m, n, count, seed)``."""
+    return cones._sample_stack(expr, m, n, count, np.random.default_rng(seed))[0]
 
 
 def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckReport:
     """Adjoint/composition identities for the map inner product, plus the
     conjugate-symmetry lemma <Phi,Psi> = <Psi*,Phi*>."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        phi = superop.random_map(m, n, rng)
-        psi = superop.random_map(m, n, rng)
-        alpha = superop.random_map(n, n, rng)
-        beta = superop.random_map(m, m, rng)
-        base = map_inner(phi.compose(beta), psi)
-        worst = max(worst,
-                    abs(base - map_inner(beta, phi.adjoint().compose(psi))),
-                    abs(base - map_inner(psi.adjoint().compose(phi), beta.adjoint())))
-        base = map_inner(alpha.compose(phi), psi)
-        worst = max(worst,
-                    abs(base - map_inner(alpha, psi.compose(phi.adjoint()))),
-                    abs(base - map_inner(phi.compose(psi.adjoint()), alpha.adjoint())))
-        lhs = map_inner(alpha.compose(phi).compose(beta), psi)
-        rhs = map_inner(phi, alpha.adjoint().compose(psi).compose(beta.adjoint()))
-        worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, abs(map_inner(phi, psi)
-                               - map_inner(psi.adjoint(), phi.adjoint())))
-    return _report(CHECK_IDS["prop1"], m, n, trials, worst, seed, tol)
+    # per trial: phi and psi m -> n, alpha n -> n, beta m -> m
+    draws = [[linalg.random_complex((a * b, a * b), rng)
+              for a, b in ((m, n), (m, n), (n, n), (m, m))] for _ in range(trials)]
+    phi, psi, alpha, beta = (np.array(stack) for stack in zip(*draws))
+    comp, adj, inner = superop.compose_stack, superop.adjoint_stack, superop.map_inner_stack
+    phi_a, psi_a = adj(phi, m, n), adj(psi, m, n)
+    alpha_a, beta_a = adj(alpha, n, n), adj(beta, m, m)
+    base = inner(comp(phi, beta, m, m, n), psi)
+    gaps = [base - inner(beta, comp(phi_a, psi, m, n, m)),
+            base - inner(comp(psi_a, phi, m, n, m), beta_a)]
+    alpha_phi = comp(alpha, phi, m, n, n)
+    base = inner(alpha_phi, psi)
+    gaps += [base - inner(alpha, comp(psi, phi_a, n, m, n)),
+             base - inner(comp(phi, psi_a, n, m, n), alpha_a)]
+    gaps.append(inner(comp(alpha_phi, beta, m, m, n), psi)
+                - inner(phi, comp(comp(alpha_a, psi, m, n, n), beta_a, m, m, n)))
+    gaps.append(inner(phi, psi) - inner(psi_a, phi_a))
+    return _report(CHECK_IDS["prop1"], m, n, trials, np.abs(gaps).max(), seed, tol)
 
 
 def check_isometry(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckReport:
     """The Choi transform is an isometry: the basis-sum inner product equals
     the Hilbert-Schmidt product of the Choi matrices."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        phi = superop.random_map(m, n, rng)
-        psi = superop.random_map(m, n, rng)
-        by_sum = 0.0 + 0.0j
-        for k in range(m):
-            for l in range(m):
-                fkl = matrix_unit(m, k, l)
-                by_sum += linalg.hs_inner(phi.apply(fkl), psi.apply(fkl))
-        by_choi = linalg.hs_inner(phi.choi, psi.choi)
-        worst = max(worst, abs(by_sum - by_choi))
-    return _report(CHECK_IDS["isometry"], m, n, trials, worst, seed, tol)
+    chois = np.array([[linalg.random_complex((m * n, m * n), rng) for _ in range(2)]
+                      for _ in range(trials)])
+    # images[z, p, k, l] = Phi(f_kl) for the map p of trial z
+    units = np.eye(m * m).reshape(m, m, m, m)
+    images = np.einsum("klab,zpaibj->zpklij", units, chois.reshape(trials, 2, m, n, m, n))
+    by_sum = (images[:, 0] * images[:, 1].conj()).sum(axis=(1, 2, 3, 4))
+    by_choi = superop.map_inner_stack(chois[:, 0], chois[:, 1])
+    return _report(CHECK_IDS["isometry"], m, n, trials, np.abs(by_sum - by_choi).max(),
+                   seed, tol)
 
 
 def check_lemma6(m: int, n: int, trials: int, seed, tol: float = 1e-12) -> CheckReport:
     """Choi matrix of a conjugation is the outer product of the vectorized
     operator; verified against direct construction from basis images."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    ops, kls = [], []
     for _ in range(trials):
         rank = int(rng.integers(1, min(m, n) + 1))
-        v = linalg.random_complex((n, rank), rng) @ linalg.random_complex((rank, m), rng)
-        # direct route: sum_kl f_kl (x) V f_kl V^dagger
-        direct = np.zeros((m * n, m * n), dtype=np.complex128)
-        for k in range(m):
-            for l in range(m):
-                fkl = matrix_unit(m, k, l)
-                direct += linalg.kron(fkl, v @ fkl @ v.conj().T)
-        w = vec(v)
-        outer = np.outer(w, w.conj())
-        worst = max(worst, float(np.max(np.abs(direct - outer))))
-        worst = max(worst, float(np.max(np.abs(outer - ad_map(v).choi))))
-        # intermediate identity: V f_kl V^dagger entry (r, i) = V_rk conj(V_il)
-        k = int(rng.integers(m))
-        l = int(rng.integers(m))
-        img = v @ matrix_unit(m, k, l) @ v.conj().T
-        worst = max(worst, float(np.max(np.abs(
-            img - np.outer(v[:, k], v[:, l].conj())))))
+        ops.append(linalg.random_complex((n, rank), rng) @ linalg.random_complex((rank, m), rng))
+        kls.append((int(rng.integers(m)), int(rng.integers(m))))
+    v = np.array(ops)
+    units = np.eye(m * m).reshape(m, m, m, m)
+    # direct route: sum_kl f_kl (x) V f_kl V^dagger
+    direct = np.einsum("klab,zia,zjb->zkilj", units, v, v.conj()).reshape(trials, m * n, m * n)
+    w = superop.vec_stack(v)
+    outer = w[:, :, None] * w[:, None, :].conj()
+    # intermediate identity: V f_kl V^dagger entry (r, i) = V_rk conj(V_il)
+    k, l = np.array(kls).T
+    img = v @ units[k, l] @ _dagger(v)
+    z = np.arange(trials)
+    cols = v[z, :, k][:, :, None] * v[z, :, l].conj()[:, None, :]
+    ad = superop.kraus_stack(v[:, None])
+    worst = max(np.abs(direct - outer).max(), np.abs(outer - ad).max(), np.abs(img - cols).max())
     return _report(CHECK_IDS["lemma6"], m, n, trials, worst, seed, tol)
 
 
@@ -133,20 +136,16 @@ def check_thm2(cone_text: str, m: int, n: int, trials: int, seed,
     """Members composed with adjoints of dual elements are completely positive
     (both orders), and a planted non-member is refuted by some composition."""
     expr = cones.normalize(cones.parse_cone(cone_text), m, n)
-    dual = dual_expr(expr)
-    worst = 0.0
-    gens = sample_generators(expr, m, n, trials, seed)
-    duals = sample_generators(dual, m, n, trials, seed + 1)
-    for phi, psi in zip(gens, duals):
-        worst = max(worst, -_min_choi_eig(psi.adjoint().compose(phi)), 0.0)
-        worst = max(worst, -_min_choi_eig(phi.compose(psi.adjoint())), 0.0)
+    gens = _cone_stack(expr, m, n, trials, seed)
+    duals_a = superop.adjoint_stack(_cone_stack(dual_expr(expr), m, n, trials, seed + 1), m, n)
+    worst = max(_cp_violation(superop.compose_stack(duals_a, gens, m, n, m)),
+                _cp_violation(superop.compose_stack(gens, duals_a, n, m, n)))
     notes = ""
     if m == n and cone_text == "CP":
         # planted non-member: transposition; the identity is a dual element
         # whose composition reproduces the transposition itself
-        planted = transpose_map(m)
-        comp = identity_map(m).adjoint().compose(planted)
-        refuted = _min_choi_eig(comp) < -tol
+        comp = identity_map(m).adjoint().compose(transpose_map(m))
+        refuted = _cp_violation(comp.choi) > tol
         if not refuted:
             worst = max(worst, 1.0)
         notes = "planted transposition refuted" if refuted else "planted refutation FAILED"
@@ -158,13 +157,10 @@ def check_thm3(cone_text: str, m: int, trials: int, seed,
     """Star-invariant cones on a single algebra: the adjoints drop and plain
     compositions with dual elements are completely positive."""
     expr = cones.normalize(cones.parse_cone(cone_text), m, m)
-    dual = dual_expr(expr)
-    worst = 0.0
-    gens = sample_generators(expr, m, m, trials, seed)
-    duals = sample_generators(dual, m, m, trials, seed + 1)
-    for phi, psi in zip(gens, duals):
-        worst = max(worst, -_min_choi_eig(psi.compose(phi)), 0.0)
-        worst = max(worst, -_min_choi_eig(phi.compose(psi)), 0.0)
+    gens = _cone_stack(expr, m, m, trials, seed)
+    duals = _cone_stack(dual_expr(expr), m, m, trials, seed + 1)
+    worst = max(_cp_violation(superop.compose_stack(duals, gens, m, m, m)),
+                _cp_violation(superop.compose_stack(gens, duals, m, m, m)))
     return _report(CHECK_IDS["thm3"].format(cone=cone_text), m, m, trials, worst, seed, tol)
 
 
@@ -173,24 +169,26 @@ def check_thm4(m: int, n: int, k: int, trials: int, seed,
     """k-positivity via conjugations with rank <= k operators, exercised on
     family maps just below and just above the analytic threshold."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     margin = 0.02
+    vs, ws = [], []
     for _ in range(max(1, trials // 20)):
-        v = linalg.random_complex((n, m), rng)
-        thr = family.k_positivity_threshold(v, k)
-        below = family.build(family.PhiLambdaSpec(v, thr * (1 - margin)))
-        above = family.build(family.PhiLambdaSpec(v, thr * (1 + margin)))
-        for _ in range(20):
-            w = (linalg.random_complex((n, k), rng)
-                 @ linalg.random_complex((k, m), rng))
-            adw = ad_map(w.conj().T)
-            worst = max(worst, -_min_choi_eig(adw.compose(below)), 0.0)
-            worst = max(worst, -_min_choi_eig(below.compose(ad_map(w.conj().T))), 0.0)
-        # above threshold a refuting rank-k conjugation must exist; the top-k
-        # singular truncation of V supplies it
-        wk = family.truncation(v, k)
-        if _min_choi_eig(ad_map(wk.conj().T).compose(above)) >= -tol:
-            worst = max(worst, 1.0)
+        vs.append(linalg.random_complex((n, m), rng))
+        ws += [linalg.random_complex((n, k), rng) @ linalg.random_complex((k, m), rng)
+               for _ in range(20)]
+    v = np.array(vs)
+    w = superop.vec_stack(v)
+    thr = 1.0 / family.fan(w, m, n, k)
+    below = np.repeat(family.choi(1.0, thr * (1 - margin), w), 20, axis=0)
+    adw = superop.kraus_stack(_dagger(np.array(ws))[:, None])
+    worst = max(_cp_violation(superop.compose_stack(adw, below, m, n, m)),
+                _cp_violation(superop.compose_stack(below, adw, n, m, n)))
+    # above threshold a refuting rank-k conjugation must exist; the top-k
+    # singular truncation of V supplies it
+    above = family.choi(1.0, thr * (1 + margin), w)
+    ad_wk = superop.kraus_stack(_dagger(family.truncation(v, k))[:, None])
+    floors = linalg.hermitian_part_eigvals(superop.compose_stack(ad_wk, above, m, n, m))[:, 0]
+    if np.any(floors >= -tol):
+        worst = max(worst, 1.0)
     return _report(CHECK_IDS["thm4"].format(k=k), m, n, trials, worst, seed, tol)
 
 
@@ -199,16 +197,14 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
     """Projection-pair characterization of k-positivity plus the exact
     E U F factorization of rank <= k operators."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     # EVF factorization: any rank <= k operator equals E U F for its range
     # and row projections
-    for _ in range(10):
-        u_op = (linalg.random_complex((n, k), rng)
-                @ linalg.random_complex((k, m), rng))
-        uu, ss, vv = np.linalg.svd(u_op)
-        e = uu[:, :k] @ uu[:, :k].conj().T
-        f = vv[:k].conj().T @ vv[:k]
-        worst = max(worst, float(np.max(np.abs(e @ u_op @ f - u_op))))
+    u_op = np.array([linalg.random_complex((n, k), rng) @ linalg.random_complex((k, m), rng)
+                     for _ in range(10)])
+    uu, _, vv = np.linalg.svd(u_op)
+    e = uu[..., :k] @ _dagger(uu[..., :k])
+    f = _dagger(vv[:, :k]) @ vv[:, :k]
+    worst = float(np.abs(e @ u_op @ f - u_op).max())
     # family threshold flip under the Schmidt-rank-k search
     v = linalg.random_complex((n, m), rng)
     thr = family.k_positivity_threshold(v, k)
@@ -217,17 +213,17 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
     above = family.PhiLambdaSpec(v, thr * (1 + margin))
     ok_below, _ = family.brute_force_k_positivity(below, k, seed + 1, tol)
     ok_above, _ = family.brute_force_k_positivity(above, k, seed + 2, tol)
-    if not ok_below:
+    if ok_above or not ok_below:
         worst = max(worst, 1.0)
-    if ok_above:
-        worst = max(worst, 1.0)
-    # consistency of the two-sided condition on the below-threshold member
-    phi = family.build(below)
-    for _ in range(min(trials, 50)):
-        e = linalg.random_projection(n, k, rng)
-        f = linalg.random_projection(m, k, rng)
-        comp = ad_map(e).compose(phi).compose(ad_map(f))
-        worst = max(worst, -_min_choi_eig(comp), 0.0)
+    # consistency of the two-sided condition on the below-threshold member:
+    # Ad_E . phi . Ad_F for random rank-k projections E and F
+    draws = [(linalg.random_complex((n, k), rng), linalg.random_complex((m, k), rng))
+             for _ in range(min(trials, 50))]
+    q_e, q_f = (np.linalg.qr(np.array(g))[0] for g in zip(*draws))
+    ad_e, ad_f = (superop.kraus_stack((q @ _dagger(q))[:, None]) for q in (q_e, q_f))
+    phi = family.build(below).choi
+    comp = superop.compose_stack(superop.compose_stack(ad_e, phi, m, n, n), ad_f, m, m, n)
+    worst = max(worst, _cp_violation(comp))
     return _report(CHECK_IDS["thm5"].format(k=k), m, n, trials, worst, seed, tol,
                    notes=f"threshold {thr:.6g} bracketed at +-{margin:.0%}")
 

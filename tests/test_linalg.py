@@ -50,18 +50,6 @@ def test_random_unitary_is_unitary():
     assert np.linalg.norm(u @ u.conj().T - np.eye(4)) < 1e-12
 
 
-def test_random_projection_rank_and_idempotence():
-    p = linalg.random_projection(5, 2, 99)
-    assert np.linalg.norm(p @ p - p) < 1e-12
-    assert np.linalg.norm(p - p.conj().T) < 1e-12
-    assert abs(np.trace(p).real - 2) < 1e-10
-
-
-def test_random_projection_deterministic():
-    assert np.array_equal(linalg.random_projection(4, 2, 7),
-                          linalg.random_projection(4, 2, 7))
-
-
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 4), cols=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_matrix_json_roundtrip(rows, cols, seed):

@@ -105,6 +105,62 @@ def test_compose_dimension_mismatch():
         superop.random_map(2, 3, RNG).compose(superop.random_map(2, 3, RNG))
 
 
+def _compose_oracle(outer, inner):
+    """outer . inner by the per-map index contraction of the Choi tensors."""
+    c = np.einsum("kilj,iajb->kalb", inner._choi4(), outer._choi4())
+    return c.reshape(inner.m * outer.n, inner.m * outer.n)
+
+
+def _adjoint_oracle(phi):
+    """The adjoint's Choi matrix by the per-map conjugate and K/H swap."""
+    m, n = phi.dims
+    return np.conj(phi._choi4().transpose(1, 0, 3, 2)).reshape(m * n, m * n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_stack_kernels_match_per_map_results(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    phis, psis = ([superop.random_map(m, n, rng) for _ in range(4)] for _ in range(2))
+    outs = [superop.random_map(n, m, rng) for _ in range(4)]
+    stack = np.array([phi.choi for phi in phis])
+    comp = superop.compose_stack(np.array([o.choi for o in outs]), stack, m, n, m)
+    adj = superop.adjoint_stack(stack, m, n)
+    inner = superop.map_inner_stack(stack, np.array([psi.choi for psi in psis]))
+    for z, (phi, psi, out) in enumerate(zip(phis, psis, outs)):
+        assert np.max(np.abs(comp[z] - _compose_oracle(out, phi))) < 1e-12
+        assert np.max(np.abs(comp[z] - out.compose(phi).choi)) < 1e-12
+        assert np.array_equal(adj[z], _adjoint_oracle(phi))
+        assert np.array_equal(adj[z], phi.adjoint().choi)
+        assert abs(inner[z] - np.vdot(psi.choi, phi.choi)) < 1e-12
+        assert abs(inner[z] - map_inner(phi, psi)) < 1e-12
+
+
+def test_compose_stack_non_square_chain_and_broadcast():
+    m, k, n = 2, 3, 4
+    inners = [superop.random_map(m, k, RNG) for _ in range(3)]
+    outer = superop.random_map(k, n, RNG)
+    stack = np.array([phi.choi for phi in inners])
+    # one map composed after, and before, every map of a stack
+    after = superop.compose_stack(outer.choi, stack, m, k, n)
+    before = superop.compose_stack(stack, superop.random_map(n, m, RNG).choi[None], n, m, k)
+    assert after.shape == (3, m * n, m * n) and before.shape == (3, n * k, n * k)
+    x = linalg.random_complex((m, m), RNG)
+    for z, phi in enumerate(inners):
+        assert np.max(np.abs(after[z] - _compose_oracle(outer, phi))) < 1e-12
+        assert np.allclose(superop.from_choi(after[z], m, n).apply(x),
+                           outer.apply(phi.apply(x)), atol=1e-11)
+    inner = superop.map_inner_stack(stack, inners[0].choi)
+    assert np.allclose(inner, [np.vdot(inners[0].choi, c) for c in stack], atol=1e-12)
+
+
+def test_stack_kernels_dimension_mismatch():
+    stack = np.array([superop.random_map(2, 3, RNG).choi for _ in range(2)])
+    with pytest.raises(DimensionError):
+        superop.compose_stack(stack, stack, 2, 3, 3)  # outer takes B(C^2), not B(C^3)
+    with pytest.raises(DimensionError):
+        superop.adjoint_stack(stack, 3, 3)
+
+
 def test_from_kraus_matches_sum():
     ops = [linalg.random_complex((3, 2), RNG) for _ in range(3)]
     phi = from_kraus(ops)

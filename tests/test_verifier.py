@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from mapcones import verifier
+from mapcones import linalg, superop, verifier
+from mapcones.linalg import DimensionError, matrix_unit
+from mapcones.superop import ad_map, map_inner, vec
 
 
 def test_prop1_and_isometry_checks_pass():
@@ -36,7 +39,10 @@ def test_thm4_threshold_bracketing(k):
 
 
 def test_thm5_factorization():
-    assert verifier.check_thm5(3, 3, 2, trials=10, seed=4).passed
+    r = verifier.check_thm5(3, 3, 2, trials=10, seed=4)
+    assert r.passed
+    # V, and so the threshold, is drawn after the ten factorization operators
+    assert r.notes == "threshold 0.176307 bracketed at +-1%"
 
 
 def test_run_all_green_and_serializable():
@@ -64,3 +70,114 @@ def test_seed_changes_samples_but_not_verdicts():
     b = verifier.check_prop1(2, 2, trials=10, seed=2)
     assert a.passed and b.passed
     assert a.max_violation != b.max_violation
+
+
+# The per-trial loops of check_prop1, check_isometry and check_lemma6 before
+# they ran on stacks: the reference for the stacked checks' draws and values.
+
+def _prop1_oracle(m, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        phi = superop.random_map(m, n, rng)
+        psi = superop.random_map(m, n, rng)
+        alpha = superop.random_map(n, n, rng)
+        beta = superop.random_map(m, m, rng)
+        base = map_inner(phi.compose(beta), psi)
+        worst = max(worst,
+                    abs(base - map_inner(beta, phi.adjoint().compose(psi))),
+                    abs(base - map_inner(psi.adjoint().compose(phi), beta.adjoint())))
+        base = map_inner(alpha.compose(phi), psi)
+        worst = max(worst,
+                    abs(base - map_inner(alpha, psi.compose(phi.adjoint()))),
+                    abs(base - map_inner(phi.compose(psi.adjoint()), alpha.adjoint())))
+        lhs = map_inner(alpha.compose(phi).compose(beta), psi)
+        rhs = map_inner(phi, alpha.adjoint().compose(psi).compose(beta.adjoint()))
+        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(map_inner(phi, psi)
+                               - map_inner(psi.adjoint(), phi.adjoint())))
+    return worst
+
+
+def _isometry_oracle(m, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        phi = superop.random_map(m, n, rng)
+        psi = superop.random_map(m, n, rng)
+        by_sum = 0.0 + 0.0j
+        for k in range(m):
+            for l in range(m):
+                fkl = matrix_unit(m, k, l)
+                by_sum += linalg.hs_inner(phi.apply(fkl), psi.apply(fkl))
+        by_choi = linalg.hs_inner(phi.choi, psi.choi)
+        worst = max(worst, abs(by_sum - by_choi))
+    return worst
+
+
+def _lemma6_oracle(m, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        rank = int(rng.integers(1, min(m, n) + 1))
+        v = linalg.random_complex((n, rank), rng) @ linalg.random_complex((rank, m), rng)
+        direct = np.zeros((m * n, m * n), dtype=np.complex128)
+        for k in range(m):
+            for l in range(m):
+                fkl = matrix_unit(m, k, l)
+                direct += np.kron(fkl, v @ fkl @ v.conj().T)
+        w = vec(v)
+        outer = np.outer(w, w.conj())
+        worst = max(worst, float(np.max(np.abs(direct - outer))))
+        worst = max(worst, float(np.max(np.abs(outer - ad_map(v).choi))))
+        k = int(rng.integers(m))
+        l = int(rng.integers(m))
+        img = v @ matrix_unit(m, k, l) @ v.conj().T
+        worst = max(worst, float(np.max(np.abs(
+            img - np.outer(v[:, k], v[:, l].conj())))))
+    return worst
+
+
+ORACLES = {"prop1": _prop1_oracle, "isometry": _isometry_oracle, "lemma6": _lemma6_oracle}
+
+
+def _recorded(monkeypatch, run):
+    """What run() returns, and every operator it drew through
+    linalg.random_complex, in draw order."""
+    drawn, draw = [], linalg.random_complex
+
+    def recording(shape, rng):
+        drawn.append(draw(shape, rng))
+        return drawn[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "random_complex", recording)
+        return run(), drawn
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_stacked_check_draws_and_values_match_the_per_trial_loop(name, monkeypatch):
+    check = getattr(verifier, f"check_{name}")
+    report, drawn = _recorded(monkeypatch, lambda: check(2, 3, trials=10, seed=3))
+    worst, oracle_drawn = _recorded(monkeypatch, lambda: ORACLES[name](2, 3, 10, 3))
+    assert len(drawn) == len(oracle_drawn)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, oracle_drawn))
+    assert abs(report.max_violation - worst) <= 1e-13
+
+
+def test_prop1_fails_on_a_wrong_composition(monkeypatch):
+    compose = superop.compose_stack
+    monkeypatch.setattr(superop, "compose_stack",
+                        lambda outer, inner, m, k, n: compose(np.conj(outer), inner, m, k, n))
+    assert not verifier.check_prop1(2, 2, trials=5, seed=3).passed
+    # reversing every composition maps the identities onto each other, so
+    # at m = n it goes unseen; at m != n the shapes no longer fit
+    monkeypatch.setattr(superop, "compose_stack",
+                        lambda outer, inner, m, k, n: compose(inner, outer, m, k, n))
+    with pytest.raises(DimensionError):
+        verifier.check_prop1(2, 3, trials=5, seed=3)
+
+
+def test_isometry_fails_when_the_inner_product_drops_its_conjugate(monkeypatch):
+    monkeypatch.setattr(superop, "map_inner_stack", lambda a, b: (a * b).sum(axis=(-2, -1)))
+    assert not verifier.check_isometry(2, 3, trials=5, seed=3).passed
