@@ -12,7 +12,9 @@ Membership verdicts are certified: a Member carries a certificate and a
 NotMember carries a witness, each of which :func:`recheck` re-verifies from
 scratch.  A map lies in a closed cone iff it pairs nonnegatively with the
 whole dual cone, so every witness is a ``dual_element``: a dual map psi, with
-its own certificate, whose pairing with the map is negative.  Complete
+its own certificate, whose pairing with the map is negative.  Every reported
+pairing is a :func:`superop.map_inner_stack` value, the formula
+:func:`pair` uses, so :func:`recheck` recomputes it bit for bit.  Complete
 positivity is decided exactly via the Choi spectrum; k-positivity has a
 sound refuter plus two closed-form certifiers: an exact one for maps whose
 Choi matrix has the ``a*I - b|w><w|`` spectral pattern, and a split of the
@@ -399,7 +401,8 @@ def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optiona
 # ---------------------------------------------------------------------------
 
 def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
-    """Sample ``count`` maps provably inside the cone as one Choi stack.
+    """Sample ``count`` maps provably inside the cone as one Choi stack,
+    drawn from ``rng``, a seed or a Generator.
 
     Returns ``(chois, certs)``: a ``(count, m*n, m*n)`` array and one
     certificate per map, which :func:`recheck` verifies.  Base cones draw
@@ -411,6 +414,7 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     certificates of ``rank_bound`` 1.  No sample is decided by
     :func:`member`.
     """
+    rng = np.random.default_rng(rng)
     kmax = min(m, n)
     if isinstance(expr, Base) and expr.kind == "SPk":
         # V = X Y with X n x k and Y k x m has rank <= k
@@ -472,12 +476,6 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     raise TypeError(f"cannot sample from unnormalized expression: {expr!r}")
 
 
-def _sample_with_certs(expr: ConeExpr, m: int, n: int, count: int, rng):
-    """:func:`_sample_stack` as a list of ``(map, certificate)`` pairs."""
-    chois, certs = _sample_stack(expr, m, n, count, np.random.default_rng(rng))
-    return [(SuperOperator(m, n, c), cert) for c, cert in zip(chois, certs)]
-
-
 def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[SuperOperator]:
     """Sample ``count`` maps that verifiably lie in the (normalized) cone.
 
@@ -486,7 +484,7 @@ def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [g for g, _ in _sample_with_certs(expr, m, n, count, seed)]
+    return [SuperOperator(m, n, c) for c in _sample_stack(expr, m, n, count, seed)[0]]
 
 
 def _pair_tolerance(chois, phi: SuperOperator, tol: float):
@@ -507,7 +505,7 @@ def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
         raise ValueError(f"first argument is not Hermiticity-preserving within {tol} * max|C|")
     if not phi.is_hermiticity_preserving(tol):
         raise ValueError(f"second argument is not Hermiticity-preserving within {tol} * max|C|")
-    vals = chois.reshape(len(chois), -1) @ phi.choi.conj().reshape(-1)
+    vals = superop.map_inner_stack(chois, phi.choi)
     residue = np.abs(vals.imag) > _pair_tolerance(chois, phi, tol)
     if residue.any():
         raise ArithmeticError(f"pairing has imaginary residue {vals.imag[residue][0]}")
@@ -541,12 +539,12 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
                                                   linalg.MAX_SWEEPS, cfg.seed + 1,
                                                   stop_below=-eps)
         v = x @ y
-    # <Ad_V, phi> is the Choi quadratic form at vec(V)
-    w = superop.vec(v)
-    value = float(np.real(np.vdot(w, phi.choi @ w)))
+    psi = ad_map(v)
+    # the pairing <Ad_V, phi>, the Choi quadratic form at vec(V)
+    value = float(superop.map_inner_stack(psi.choi, phi.choi).real)
     found = None
     if value < -eps:
-        found = ad_map(v), value, {"type": "kraus", "ops": [v], "rank_bound": k}
+        found = psi, value, {"type": "kraus", "ops": [v], "rank_bound": k}
     return found, value, sweeps
 
 
@@ -566,9 +564,8 @@ def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     number drawn and closest the least eigenvalue.
     """
     m, n = phi.dims
-    chois, certs = _sample_stack(d, m, n, min(cfg.samples, 100),
-                                 np.random.default_rng(cfg.seed + 3))
-    comps = superop.adjoint_compositions(chois, phi)
+    chois, certs = _sample_stack(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
+    comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
     floors = linalg.hermitian_part_eigvals(comps)[:, 0]
     hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
     witness = None
@@ -662,7 +659,7 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
             scale = neg.sum() + delta * m * n
             rho = (rho + delta * np.eye(m * n)) / scale
             # <rho, C>, the pairing that recheck recomputes with pair
-            value = float(np.real(np.vdot(c, rho)))
+            value = float(superop.map_inner_stack(rho, c).real)
             closest = min(closest, value)
             if value < -eps:
                 psi = SuperOperator(m, n, rho)
@@ -720,7 +717,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     CP and SPk(k) are refuted by Ad_V for V = unvec of the lowest Choi
     eigenvector.
     A twirl returns its child's witness as psi . t, a ``twirled``
-    certificate and the same pairing; a meet returns its child's witness
+    certificate and the pairing of psi . t with phi, the child's value
+    summed in :func:`pair`'s order; a meet returns its child's witness
     unchanged, and a join member that one child certifies carries that
     child's certificate.
 
@@ -841,8 +839,13 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
         witness = inner.witness
         if witness is not None:
             # <psi . t, phi> = <psi, phi . t>: the twirl permutes both Choi
-            # matrices alike, so the pairing stands
-            witness = dict(witness, psi=witness["psi"].right_transpose(),
+            # matrices alike, so the pairing keeps its value, but its sum
+            # runs in another order; it is taken again as pair takes it
+            psi = witness["psi"].right_transpose()
+            pairing = witness["pairing"]
+            if pairing is not None:
+                pairing = float(superop.map_inner_stack(psi.choi, phi.choi).real)
+            witness = dict(witness, psi=psi, pairing=pairing,
                            psi_certificate={"type": "twirled",
                                             "inner": witness["psi_certificate"]})
         return _verdict(inner.status, "twirl", cfg,
@@ -946,8 +949,7 @@ def mcs_stability_probe(expr: ConeExpr, m: int, n: int,
     dual_min, dual_ok = np.inf, True
     dual = dual_expr(expr)
     dual_gens = sample_generators(dual, m, n, min(cfg.samples, 50), cfg.seed + 1)
-    cone_chois, _ = _sample_stack(expr, m, n, min(cfg.samples, 10),
-                                  np.random.default_rng(cfg.seed + 2))
+    cone_chois, _ = _sample_stack(expr, m, n, min(cfg.samples, 10), cfg.seed + 2)
     for psi in dual_gens:
         ups = superop.random_cp_map(n, n, rng, kraus_count)
         omg = superop.random_cp_map(m, m, rng, kraus_count)

@@ -70,7 +70,9 @@ class SuperOperator:
         x = as_matrix(x)
         if x.shape != (self.m, self.m):
             raise DimensionError(f"apply expects a {self.m}x{self.m} operator, got {x.shape}")
-        return np.einsum("kl,kilj->ij", x, self._choi4())
+        # S[k l, i j] = C[k i, l j], the matrix compose_stack multiplies
+        s = _realign(self.choi, self.m, self.n, self.m, self.n)
+        return (x.reshape(-1) @ s).reshape(self.n, self.n)
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint map B(H) -> B(K) for the Hilbert-Schmidt pairing."""
@@ -126,10 +128,10 @@ def twirl_stack(chois, m: int, n: int) -> np.ndarray:
 
 
 def kraus_stack(ops) -> np.ndarray:
-    """Choi matrices of sum_r Ad_{V_zr} for a (count, r, n, m) stack of Kraus
-    operators V_zr."""
+    """Choi matrices of sum_r Ad_{V_r} for a (..., r, n, m) stack of Kraus
+    operators V_r: the outer products |vec V_r><vec V_r| summed over r."""
     w = vec_stack(ops)
-    return np.einsum("zri,zrj->zij", w, w.conj())
+    return (w[..., :, None] * w.conj()[..., None, :]).sum(axis=-3)
 
 
 def _realign(a, p: int, q: int, r: int, s: int) -> np.ndarray:
@@ -159,26 +161,8 @@ def adjoint_stack(chois, m: int, n: int) -> np.ndarray:
 
 def map_inner_stack(a, b) -> np.ndarray:
     """<Phi, Psi> = Tr(C_Phi C_Psi^dagger) for Choi matrices or stacks a and b,
-    broadcast over the leading axes: a batched ``vdot(b, a)``."""
+    broadcast over the leading axes."""
     return (a * np.conj(b)).sum(axis=(-2, -1))
-
-
-def adjoint_compositions(chois, phi: "SuperOperator") -> np.ndarray:
-    """Choi matrices of psi^dagger . phi for a stack of m -> n maps psi, as
-    ``psi.adjoint().compose(phi)`` builds them one at a time.
-
-    Realigned, P[k l, i j] = Phi[k i, l j] and S_z[i j, a b] = Psi_z[a i, b j],
-    entry (k a, l b) of the z-th Choi matrix is the conjugate of entry
-    (k l, a b) of conj(P) S_z: the whole stack is one matmul of the
-    m^2 x n^2 matrix conj(P) with the stack of n^2 x m^2 matrices S_z.
-    """
-    m, n = phi.dims
-    p = phi._choi4().transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    comp = p.conj() @ chois.reshape(-1, m, n, m, n).transpose(0, 2, 4, 1, 3).reshape(
-        -1, n * n, m * m)
-    # back from rows (k l), columns (a b) to the Choi order (k a, l b)
-    comp = np.conjugate(comp.reshape(-1, m, m, m, m).transpose(0, 1, 3, 2, 4))
-    return comp.reshape(-1, m * m, m * m)
 
 
 def from_choi(c, m: int, n: int) -> SuperOperator:
@@ -191,13 +175,10 @@ def from_kraus(ops) -> SuperOperator:
     if not ops:
         raise ValueError("Kraus operator list must be nonempty")
     n, m = ops[0].shape
-    choi = np.zeros((m * n, m * n), dtype=np.complex128)
     for v in ops:
         if v.shape != (n, m):
             raise DimensionError(f"inconsistent Kraus shapes: {v.shape} vs {(n, m)}")
-        w = vec(v)
-        choi += np.outer(w, w.conj())
-    return SuperOperator(m, n, choi)
+    return SuperOperator(m, n, kraus_stack(np.array(ops)))
 
 
 def ad_map(v) -> SuperOperator:

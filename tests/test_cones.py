@@ -253,10 +253,12 @@ def test_sampled_generators_carry_sound_certificates(text):
     # the non-square shapes exercise the stacked twirl's reshape
     for m, n in ((3, 3), (2, 3), (3, 2)):
         expr = normalize(parse_cone(text), m, n)
-        rng = np.random.default_rng(5)
-        pairs = cones._sample_with_certs(expr, m, n, 12, rng)
-        assert len(pairs) == 12
-        for g, cert in pairs:
+        chois, certs = cones._sample_stack(expr, m, n, 12, np.random.default_rng(5))
+        assert len(chois) == len(certs) == 12
+        # a seed draws what the Generator it seeds draws
+        assert cones._sample_stack(expr, m, n, 12, 5)[0].tobytes() == chois.tobytes()
+        for c, cert in zip(chois, certs):
+            g = superop.from_choi(c, m, n)
             assert {node["type"] for node in _certificate_nodes(cert)} <= CERTIFICATE_KINDS
             assert recheck(g, cones.Verdict(MEMBER, certificate=cert)), (m, n, cert)
 
@@ -360,12 +362,11 @@ def test_stacked_pairing_and_compositions_match_per_sample_loops(m, n):
     psis = [superop.from_choi(c, m, n) for c in chois]
     stacked = cones._pair_stack(chois, phi, 1e-9)
     looped = np.array([pair(psi, phi) for psi in psis])
-    assert np.max(np.abs(stacked - looped)) <= 1e-12
-    assert np.argmin(stacked) == np.argmin(looped)
+    assert np.array_equal(stacked, looped)
 
-    comps = superop.adjoint_compositions(chois, phi)
+    comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
     for comp, psi in zip(comps, psis):
-        assert np.max(np.abs(comp - psi.adjoint().compose(phi).choi)) <= 1e-12
+        assert np.array_equal(comp, psi.adjoint().compose(phi).choi)
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
@@ -404,14 +405,13 @@ def test_spk_dual_sampling_returns_the_first_hit_of_the_per_sample_loop():
     cfg = MemberConfig(samples=40, seed=2)
     verdict = member(phi, normalize(parse_cone("SPk(2)"), 3, 3), cfg)
     assert verdict.diagnostics["route"] == "dual_sampling"
-    gens = cones._sample_with_certs(cones.Base("Pk", 2), 3, 3, 40,
-                                    np.random.default_rng(cfg.seed + 3))
+    gens = sample_generators(cones.Base("Pk", 2), 3, 3, 40, cfg.seed + 3)
     floors = [linalg.hermitian_part_eigen(psi.adjoint().compose(phi).choi)[0][0]
-              for psi, _ in gens]
+              for psi in gens]
     first = next(i for i, val in enumerate(floors) if val < -cfg.tol)
     assert first > 0
     wit = verdict.witness
-    assert wit["psi"].isclose(gens[first][0], 1e-12)
+    assert wit["psi"].isclose(gens[first], 1e-12)
     assert abs(wit["composition_eigenvalue"] - floors[first]) <= 1e-12
     assert recheck(phi, verdict)
 
@@ -421,9 +421,8 @@ def test_unknown_verdicts_report_the_closest_approach():
     # of join(CP,t(CP)) refutes it, but the projection engine does
     phi = superop.from_choi(_ckl_choi(2.0, 1.0, 0.0), 3, 3)
     expr = normalize(parse_cone("join(CP,t(CP))"), 3, 3)
-    gens = cones._sample_with_certs(dual_expr(expr), 3, 3, CFG.samples,
-                                    np.random.default_rng(CFG.seed))
-    assert min(pair(g, phi) for g, _ in gens) >= -CFG.tol
+    gens = sample_generators(dual_expr(expr), 3, 3, CFG.samples, CFG.seed)
+    assert min(pair(g, phi) for g in gens) >= -CFG.tol
     verdict = member(phi, expr, CFG)
     assert verdict.status == NOT_MEMBER
     assert verdict.diagnostics["route"] == "join_dual_witness"
@@ -445,10 +444,9 @@ def test_unknown_verdicts_report_the_closest_approach():
     phi = superop.from_kraus(ops)
     verdict = member(phi, normalize(parse_cone("SPk(2)"), 3, 3), CFG)
     assert verdict.status == UNKNOWN
-    gens = cones._sample_with_certs(cones.Base("Pk", 2), 3, 3, 100,
-                                    np.random.default_rng(CFG.seed + 3))
+    gens = sample_generators(cones.Base("Pk", 2), 3, 3, 100, CFG.seed + 3)
     closest = min(linalg.hermitian_part_eigen(g.adjoint().compose(phi).choi)[0][0]
-                  for g, _ in gens)
+                  for g in gens)
     assert closest >= -CFG.tol
     assert abs(verdict.diagnostics["closest_composition_eigenvalue"] - closest) <= 1e-12
     # Phi[2,1,0] is positive with product-vector minimum 0: the Pk exit names
@@ -925,6 +923,46 @@ def test_member_and_witness_search_refute_join_with_the_same_element():
     cert, found, _, _ = cones._decomposition(superop.from_choi(_ckl_choi(2.0, 0.6, 0.6), 3, 3),
                                              CFG, False)
     assert cert is not None and found is None
+
+
+def _refutation_corpus():
+    """(phi, cone) queries that member refutes: random HP maps against P,
+    Pk(2), CP (a not_cp witness) and t(Pk(2)) (a twirled witness), and
+    join(CP,t(CP)) on Phi[2,1,0] and on near-decomposable maps, refuted by a
+    PPT map or, outside P, by Ad_V."""
+    for seed in range(5, 25):
+        phi = superop.random_hp_map(3, 3, seed)
+        yield from ((phi, text) for text in ("P", "Pk(2)", "CP", "t(Pk(2))"))
+    yield superop.from_choi(_ckl_choi(2.0, 1.0, 0.0), 3, 3), JOIN
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        rng = np.random.default_rng([m, n])
+        yield from ((_near_decomposable(m, n, rng), JOIN) for _ in range(10))
+
+
+def test_every_reported_pairing_is_the_pairing_recheck_recomputes():
+    routes = set()
+    for phi, text in _refutation_corpus():
+        verdict = member(phi, normalize(parse_cone(text), *phi.dims), CFG)
+        if verdict.status != NOT_MEMBER:
+            continue
+        wit = verdict.witness
+        assert wit["pairing"] == pair(wit["psi"], phi, CFG.tol), (text, verdict.diagnostics)
+        routes.add((verdict.diagnostics["route"], wit["psi_certificate"]["type"]))
+    assert routes == {("vector_search", "kraus"), ("projection_search", "kraus"),
+                      ("not_cp", "kraus"), ("twirl", "twirled"),
+                      ("join_dual_witness", "both"), ("join_dual_witness", "kraus")}
+
+
+def test_every_composition_eigenvalue_is_the_one_recheck_recomputes():
+    cases = [(superop.random_hp_map(3, 3, seed), "join(Pk(2),t(Pk(2)))") for seed in range(5, 15)]
+    for seed in range(8, 14):
+        u = linalg.random_unitary(3, np.random.default_rng(seed))
+        cases.append((superop.from_choi(ad_map(u).choi + 0.05 * np.eye(9), 3, 3), "SPk(2)"))
+    for phi, text in cases:
+        wit = member(phi, normalize(parse_cone(text), 3, 3), CFG).witness
+        assert wit["pairing"] is None
+        comp = wit["psi"].adjoint().compose(phi).choi
+        assert wit["composition_eigenvalue"] == linalg.hermitian_part_eigvals(comp)[0], text
 
 
 def test_decomposition_output_is_byte_identical_for_a_seed():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcones import linalg, superop
+from mapcones import cones, linalg, superop
 from mapcones.linalg import DimensionError
 from mapcones.superop import (
     ad_map,
@@ -167,6 +167,70 @@ def test_from_kraus_matches_sum():
     x = linalg.random_complex((2, 2), RNG)
     expect = sum(v @ x @ v.conj().T for v in ops)
     assert np.allclose(phi.apply(x), expect, atol=1e-11)
+
+
+# Earlier formulas of the composition psi^dagger . phi, the Kraus sum and the
+# action, kept as oracles: the stack kernels are now the one place each
+# operation is written, and they reproduce these bit for bit (the action
+# within rounding).
+
+def _adjoint_compositions_oracle(chois, phi):
+    """psi^dagger . phi for a stack of psi: conj(P) times the realigned stack."""
+    m, n = phi.dims
+    p = phi.choi.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    comp = p.conj() @ chois.reshape(-1, m, n, m, n).transpose(0, 2, 4, 1, 3).reshape(
+        -1, n * n, m * m)
+    comp = np.conjugate(comp.reshape(-1, m, m, m, m).transpose(0, 1, 3, 2, 4))
+    return comp.reshape(-1, m * m, m * m)
+
+
+def _kraus_oracle(ops):
+    n, m = ops[0].shape
+    choi = np.zeros((m * n, m * n), dtype=np.complex128)
+    for v in ops:
+        w = vec(v)
+        choi += np.outer(w, w.conj())
+    return choi
+
+
+def _bits(a):
+    return a.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("text", ["Pk(2)", "meet(CP,t(CP))"])
+def test_stacked_adjoint_composition_is_the_oracle_bit_for_bit(d, text):
+    rng = np.random.default_rng([d, len(text)])
+    phi = superop.random_hp_map(d, d, rng)
+    expr = cones.normalize(cones.parse_cone(text), d, d)
+    chois = cones._sample_stack(expr, d, d, 100, rng)[0]
+    comps = superop.compose_stack(superop.adjoint_stack(chois, d, d), phi.choi, d, d, d)
+    assert _bits(comps) == _bits(_adjoint_compositions_oracle(chois, phi))
+    assert np.array_equal(linalg.hermitian_part_eigvals(comps),
+                          linalg.hermitian_part_eigvals(_adjoint_compositions_oracle(chois, phi)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kraus_stack_is_the_outer_product_loop_bit_for_bit(r):
+    rng = np.random.default_rng(r)
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 4), (4, 4)):
+        ops = linalg.random_complex((5, r, n, m), rng)
+        ops[1, ..., 0] = 0  # a zero column in every operator
+        ops[2, 0] *= -0.0  # signed zeros
+        stacked = superop.kraus_stack(ops)
+        for z in range(len(ops)):
+            expect = _bits(_kraus_oracle(list(ops[z])))
+            assert _bits(stacked[z]) == expect
+            assert _bits(from_kraus(list(ops[z])).choi) == expect
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_apply_matches_the_basis_einsum(m, n):
+    rng = np.random.default_rng([m, n])
+    phi = superop.random_map(m, n, rng)
+    x = linalg.random_complex((m, m), rng)
+    expect = np.einsum("kl,kilj->ij", x, phi.choi.reshape(m, n, m, n))
+    assert np.max(np.abs(phi.apply(x) - expect)) <= 1e-14 * np.max(np.abs(phi.choi))
 
 
 def test_tensor_with_identity():

@@ -38,6 +38,15 @@ def test_thm4_threshold_bracketing(k):
     assert verifier.check_thm4(3, 3, k, trials=10, seed=4).passed
 
 
+def test_reported_trials_are_the_instances_run():
+    # thm4 draws 20 rank-k conjugations per round, trials // 20 rounds;
+    # thm5 runs one projection pair per trial
+    reports = {r.check_id: r for r in verifier.run_all([(3, 3)], seed=7, trials=50)}
+    assert reports["thm4_rank_conjugation_k2"].trials == 40
+    assert reports["thm5_projection_pairs_k2"].trials == 50
+    assert verifier.check_thm5(2, 2, 1, trials=7, seed=1).trials == 7
+
+
 def test_thm5_factorization():
     r = verifier.check_thm5(3, 3, 2, trials=10, seed=4)
     assert r.passed
@@ -96,6 +105,9 @@ def _prop1_oracle(m, n, trials, seed):
         worst = max(worst, abs(lhs - rhs))
         worst = max(worst, abs(map_inner(phi, psi)
                                - map_inner(psi.adjoint(), phi.adjoint())))
+        direct = sum(np.kron(matrix_unit(m, k, l), alpha.apply(phi.apply(matrix_unit(m, k, l))))
+                     for k in range(m) for l in range(m))
+        worst = max(worst, float(np.max(np.abs(alpha.compose(phi).choi - direct))))
     return worst
 
 
@@ -170,10 +182,13 @@ def test_prop1_fails_on_a_wrong_composition(monkeypatch):
     monkeypatch.setattr(superop, "compose_stack",
                         lambda outer, inner, m, k, n: compose(np.conj(outer), inner, m, k, n))
     assert not verifier.check_prop1(2, 2, trials=5, seed=3).passed
-    # reversing every composition maps the identities onto each other, so
-    # at m = n it goes unseen; at m != n the shapes no longer fit
+    # reversing every composition maps the inner-product identities onto
+    # each other; at m = n the Choi matrix of alpha . phi, checked against
+    # basis images, catches it, and at m != n the shapes no longer fit
     monkeypatch.setattr(superop, "compose_stack",
                         lambda outer, inner, m, k, n: compose(inner, outer, m, k, n))
+    for d in (2, 3):
+        assert not verifier.check_prop1(d, d, trials=5, seed=3).passed
     with pytest.raises(DimensionError):
         verifier.check_prop1(2, 3, trials=5, seed=3)
 
