@@ -404,15 +404,16 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     """Sample ``count`` maps provably inside the cone as one Choi stack,
     drawn from ``rng``, a seed or a Generator.
 
-    Returns ``(chois, certs)``: a ``(count, m*n, m*n)`` array and one
-    certificate per map, which :func:`recheck` verifies.  Base cones draw
-    all their random operators at once, and a twirl transposes the whole
-    stack.  A join mixes two stacks with Dirichlet weights into a ``hull``
-    whose parts carry their Choi matrices and certificates.  A meet samples
-    a side that the other side includes (:func:`includes`), with that side's
-    certificates, and otherwise rank-one conjugations, with ``kraus``
-    certificates of ``rank_bound`` 1.  No sample is decided by
-    :func:`member`.
+    Returns ``(chois, cert)``: a ``(count, m*n, m*n)`` array and a function
+    ``cert(i)`` that builds the certificate of map i, which :func:`recheck`
+    verifies.  Certificates are built on demand, since callers use at most
+    one of them.  Base cones draw all their random operators at once, and a
+    twirl transposes the whole stack and wraps its child's certificates.  A join mixes two stacks with
+    Dirichlet weights into a ``hull`` whose parts carry their Choi matrices
+    and certificates.  A meet samples a side that the other side includes
+    (:func:`includes`), with that side's certificates, and otherwise
+    rank-one conjugations, with ``kraus`` certificates of ``rank_bound`` 1.
+    No sample is decided by :func:`member`.
     """
     rng = np.random.default_rng(rng)
     kmax = min(m, n)
@@ -421,14 +422,13 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         g = linalg.random_complex((count, n + m, expr.k), rng)
         ops = g[:, :n] @ np.swapaxes(g[:, n:], 1, 2)
         return (superop.kraus_stack(ops[:, None]),
-                [{"type": "kraus", "ops": [v], "rank_bound": expr.k} for v in ops])
+                lambda i: {"type": "kraus", "ops": [ops[i]], "rank_bound": expr.k})
     if isinstance(expr, Base) and expr.kind == "CP":
         ranks = rng.integers(1, 4, size=count)
         ops = linalg.random_complex((count, 3, n, m), rng)
         ops[np.arange(3) >= ranks[:, None]] = 0
         return (superop.kraus_stack(ops),
-                [{"type": "kraus", "ops": list(v[:r]), "rank_bound": kmax}
-                 for v, r in zip(ops, ranks)])
+                lambda i: {"type": "kraus", "ops": list(ops[i, :ranks[i]]), "rank_bound": kmax})
     if isinstance(expr, Base) and expr.kind == "Pk":
         # cycle through boundary members of the Tr - lambda Ad_W family
         # (k-positive by the analytic threshold), two-operator Kraus maps and,
@@ -453,19 +453,19 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
             return {"type": "twirled",
                     "inner": {"type": "kraus", "ops": list(ops[i]), "rank_bound": kmax}}
 
-        return chois, [cert(i) for i in range(count)]
+        return chois, cert
     if isinstance(expr, Twirl):
-        chois, certs = _sample_stack(expr.child, m, n, count, rng)
-        return superop.twirl_stack(chois, m, n), [{"type": "twirled", "inner": c} for c in certs]
+        chois, inner = _sample_stack(expr.child, m, n, count, rng)
+        return superop.twirl_stack(chois, m, n), lambda i: {"type": "twirled", "inner": inner(i)}
     if isinstance(expr, Join):
-        left, left_certs = _sample_stack(expr.left, m, n, count, rng)
-        right, right_certs = _sample_stack(expr.right, m, n, count, rng)
+        left, left_cert = _sample_stack(expr.left, m, n, count, rng)
+        right, right_cert = _sample_stack(expr.right, m, n, count, rng)
         weights = rng.dirichlet((1.0, 1.0), size=count)
         mixed = weights[:, 0, None, None] * left + weights[:, 1, None, None] * right
-        parts = [[{"choi": choi, "certificate": cert} for choi, cert in zip(stack, certs)]
-                 for stack, certs in ((left, left_certs), (right, right_certs))]
-        return mixed, [{"type": "hull", "weights": (float(w1), float(w2)), "parts": [p1, p2]}
-                       for (w1, w2), p1, p2 in zip(weights, *parts)]
+        return mixed, lambda i: {
+            "type": "hull", "weights": (float(weights[i, 0]), float(weights[i, 1])),
+            "parts": [{"choi": left[i], "certificate": left_cert(i)},
+                      {"choi": right[i], "certificate": right_cert(i)}]}
     if isinstance(expr, Meet):
         # every mcs-cone lies between SP and P: a side that the other side
         # includes is the meet, and rank-one conjugations lie in every meet
@@ -564,7 +564,7 @@ def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     number drawn and closest the least eigenvalue.
     """
     m, n = phi.dims
-    chois, certs = _sample_stack(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
+    chois, cert = _sample_stack(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
     comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
     floors = linalg.hermitian_part_eigvals(comps)[:, 0]
     hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
@@ -572,9 +572,9 @@ def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     if hits.size:
         first = hits[0]
         witness = {"type": "dual_element", "psi": SuperOperator(m, n, chois[first]),
-                   "psi_certificate": certs[first],
+                   "psi_certificate": cert(first),
                    "composition_eigenvalue": float(floors[first]), "pairing": None}
-    return witness, len(certs), float(floors.min())
+    return witness, len(chois), float(floors.min())
 
 
 def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witness=None,

@@ -208,14 +208,34 @@ def matrix_unit(dim: int, k: int, l: int) -> np.ndarray:
 
 
 def random_complex(shape, rng) -> np.ndarray:
+    """A complex Gaussian array (x + 1j y) / sqrt(2), x then y drawn from
+    ``rng``, a seed or a Generator."""
+    return random_complex_trials([shape], 1, rng)[0][0]
+
+
+def random_complex_trials(shapes, trials: int, rng) -> list[np.ndarray]:
+    """One ``(trials, *shape)`` stack of :func:`random_complex` arrays per
+    shape, from a single normal draw.
+
+    Slice z of each stack is, bit for bit, what calling ``random_complex``
+    on each shape in turn would draw on trial z: a Generator's normals come
+    out the same in one call as in consecutive calls of the summed size.
+    """
     rng = np.random.default_rng(rng)
-    # the values of (x + 1j y) / sqrt(2), filled in place without its
-    # three complex temporaries
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= math.sqrt(2)
-    return out
+    shapes = [(s,) if isinstance(s, (int, np.integer)) else tuple(s) for s in shapes]
+    sizes = [math.prod(s) for s in shapes]
+    normals = rng.standard_normal((trials, 2 * sum(sizes)))
+    stacks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        # the values of (x + 1j y) / sqrt(2), filled in place without its
+        # three complex temporaries
+        out = np.empty((trials, *shape), dtype=np.complex128)
+        out.real = normals[:, start:start + size].reshape(out.shape)
+        out.imag = normals[:, start + size:start + 2 * size].reshape(out.shape)
+        out /= math.sqrt(2)
+        stacks.append(out)
+        start += 2 * size
+    return stacks
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -4,9 +4,12 @@ Each check runs seeded random instances, records the worst absolute
 violation observed and passes iff that stays within tolerance.  Statements
 quantifying over infinite sets (all dual elements, all projections) are
 realized as sampled universal checks plus planted counterexamples; reports
-state the trial counts.  A check draws its instances trial by trial, then
-runs its algebra on the stacked Choi matrices with the stack kernels of
-:mod:`superop`.
+state the trial counts.  A check draws its random operators in bulk, one
+:func:`linalg.random_complex_trials` call per batch of trials, whose stacks
+hold bit for bit the operators a trial-by-trial loop would draw, and runs
+its algebra on them with the stack kernels of :mod:`superop`.  Only
+``check_lemma6`` draws trial by trial: the rank of each trial's operator,
+drawn between its normals, fixes the operator's shape.
 """
 
 from __future__ import annotations
@@ -68,11 +71,9 @@ def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckRe
     with every composition reversed as well, so the Choi matrix of
     alpha . phi is also checked against sum_kl f_kl (x) alpha(phi(f_kl)),
     taken from basis images."""
-    rng = np.random.default_rng(seed)
     # per trial: phi and psi m -> n, alpha n -> n, beta m -> m
-    draws = [[linalg.random_complex((a * b, a * b), rng)
-              for a, b in ((m, n), (m, n), (n, n), (m, m))] for _ in range(trials)]
-    phi, psi, alpha, beta = (np.array(stack) for stack in zip(*draws))
+    phi, psi, alpha, beta = linalg.random_complex_trials(
+        [(a * b, a * b) for a, b in ((m, n), (m, n), (n, n), (m, m))], trials, seed)
     comp, adj, inner = superop.compose_stack, superop.adjoint_stack, superop.map_inner_stack
     phi_a, psi_a = adj(phi, m, n), adj(psi, m, n)
     alpha_a, beta_a = adj(alpha, n, n), adj(beta, m, m)
@@ -100,12 +101,13 @@ def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckRe
 def check_isometry(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckReport:
     """The Choi transform is an isometry: the basis-sum inner product equals
     the Hilbert-Schmidt product of the Choi matrices."""
-    rng = np.random.default_rng(seed)
-    chois = np.array([[linalg.random_complex((m * n, m * n), rng) for _ in range(2)]
-                      for _ in range(trials)])
-    # images[z, p, k, l] = Phi(f_kl) for the map p of trial z
+    chois = np.stack(linalg.random_complex_trials([(m * n, m * n)] * 2, trials, seed), axis=1)
+    # images[z, p, k, l] = Phi(f_kl) for the map p of trial z; contiguous,
+    # so that the sum below reduces in the same order whatever layout the
+    # optimized einsum returns
     units = np.eye(m * m).reshape(m, m, m, m)
-    images = np.einsum("klab,zpaibj->zpklij", units, chois.reshape(trials, 2, m, n, m, n))
+    images = np.ascontiguousarray(np.einsum(
+        "klab,zpaibj->zpklij", units, chois.reshape(trials, 2, m, n, m, n), optimize=True))
     by_sum = (images[:, 0] * images[:, 1].conj()).sum(axis=(1, 2, 3, 4))
     by_choi = superop.map_inner_stack(chois[:, 0], chois[:, 1])
     return _report(CHECK_IDS["isometry"], m, n, trials, np.abs(by_sum - by_choi).max(),
@@ -180,13 +182,13 @@ def check_thm4(m: int, n: int, k: int, trials: int, seed,
     vs, ws = [], []
     for _ in range(max(1, trials // 20)):
         vs.append(linalg.random_complex((n, m), rng))
-        ws += [linalg.random_complex((n, k), rng) @ linalg.random_complex((k, m), rng)
-               for _ in range(20)]
-    v = np.array(vs)
+        x, y = linalg.random_complex_trials([(n, k), (k, m)], 20, rng)
+        ws.append(x @ y)
+    v, ws = np.array(vs), np.concatenate(ws)
     w = superop.vec_stack(v)
     thr = 1.0 / family.fan(w, m, n, k)
     below = np.repeat(family.choi(1.0, thr * (1 - margin), w), 20, axis=0)
-    adw = superop.kraus_stack(_dagger(np.array(ws))[:, None])
+    adw = superop.kraus_stack(_dagger(ws)[:, None])
     worst = max(_cp_violation(superop.compose_stack(adw, below, m, n, m)),
                 _cp_violation(superop.compose_stack(below, adw, n, m, n)))
     # above threshold a refuting rank-k conjugation must exist; the top-k
@@ -206,8 +208,8 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
     rng = np.random.default_rng(seed)
     # EVF factorization: any rank <= k operator equals E U F for its range
     # and row projections
-    u_op = np.array([linalg.random_complex((n, k), rng) @ linalg.random_complex((k, m), rng)
-                     for _ in range(10)])
+    x, y = linalg.random_complex_trials([(n, k), (k, m)], 10, rng)
+    u_op = x @ y
     uu, _, vv = np.linalg.svd(u_op)
     e = uu[..., :k] @ _dagger(uu[..., :k])
     f = _dagger(vv[:, :k]) @ vv[:, :k]
@@ -224,9 +226,8 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
         worst = max(worst, 1.0)
     # consistency of the two-sided condition on the below-threshold member:
     # Ad_E . phi . Ad_F for random rank-k projections E and F
-    draws = [(linalg.random_complex((n, k), rng), linalg.random_complex((m, k), rng))
-             for _ in range(trials)]
-    q_e, q_f = (np.linalg.qr(np.array(g))[0] for g in zip(*draws))
+    q_e, q_f = (np.linalg.qr(g)[0]
+                for g in linalg.random_complex_trials([(n, k), (m, k)], trials, rng))
     ad_e, ad_f = (superop.kraus_stack((q @ _dagger(q))[:, None]) for q in (q_e, q_f))
     phi = family.build(below).choi
     comp = superop.compose_stack(superop.compose_stack(ad_e, phi, m, n, n), ad_f, m, m, n)
@@ -238,7 +239,10 @@ def check_thm5(m: int, n: int, k: int, trials: int, seed,
 def plan(dims_list, seed=0, tol: float = 1e-9, trials: int = 50) -> list[tuple]:
     """The checks :func:`run_all` makes, in its order, as ``(check_id,
     check, args)``: ``check(*args)`` returns the report with that
-    ``check_id``, so a caller can select checks by id before any runs."""
+    ``check_id``, so a caller can select checks by id before any runs.
+    Raises ValueError when ``trials`` is below 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     steps = []
     for m, n in dims_list:
         steps.append((CHECK_IDS["prop1"], check_prop1, (m, n, trials, seed, tol)))

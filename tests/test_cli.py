@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapcones import cli, linalg, superop
+from mapcones import cli, linalg, superop, verifier
 from mapcones.family import PhiLambdaSpec, build
 from mapcones.superop import identity_map, transpose_map
 
@@ -230,6 +230,16 @@ def test_malformed_input_exits_with_its_code_and_one_error_line(capsys, tmp_path
     assert cli.main([arg(i, a) for i, a in enumerate(argv)]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+@pytest.mark.parametrize("check", sorted(verifier.CHECK_IDS))
+def test_verify_rejects_trials_below_one_for_every_check(capsys, check, trials):
+    # thm4 runs max(1, trials // 20) blocks, so only the plan's own check
+    # stops it from passing on no trials at all
+    argv = ["verify", "--dims", "3,3", "--check", check, "--trials", trials]
+    assert cli.main(argv) == 66
+    assert capsys.readouterr().err == f"error: trials must be >= 1, got {trials}\n"
 
 
 def test_phi_lambda_report(capsys, files):

@@ -253,8 +253,9 @@ def test_sampled_generators_carry_sound_certificates(text):
     # the non-square shapes exercise the stacked twirl's reshape
     for m, n in ((3, 3), (2, 3), (3, 2)):
         expr = normalize(parse_cone(text), m, n)
-        chois, certs = cones._sample_stack(expr, m, n, 12, np.random.default_rng(5))
-        assert len(chois) == len(certs) == 12
+        chois, cert = cones._sample_stack(expr, m, n, 12, np.random.default_rng(5))
+        certs = [cert(i) for i in range(12)]
+        assert len(chois) == 12
         # a seed draws what the Generator it seeds draws
         assert cones._sample_stack(expr, m, n, 12, 5)[0].tobytes() == chois.tobytes()
         for c, cert in zip(chois, certs):
@@ -289,12 +290,13 @@ def test_sampled_meet_draws_the_included_side_or_rank_one_conjugations(text, sid
     # a side that the other side includes is the meet; otherwise rank-one
     # conjugations, which lie in every mapping cone
     expr = normalize(parse_cone(text), 3, 3)
-    chois, certs = cones._sample_stack(expr, 3, 3, 12, np.random.default_rng(5))
+    chois, cert = cones._sample_stack(expr, 3, 3, 12, np.random.default_rng(5))
+    certs = [cert(i) for i in range(12)]
     if side is not None:
-        same, same_certs = cones._sample_stack(normalize(parse_cone(side), 3, 3), 3, 3, 12,
-                                               np.random.default_rng(5))
+        same, same_cert = cones._sample_stack(normalize(parse_cone(side), 3, 3), 3, 3, 12,
+                                              np.random.default_rng(5))
         assert np.array_equal(chois, same)
-        assert [c["type"] for c in certs] == [c["type"] for c in same_certs]
+        assert [c["type"] for c in certs] == [same_cert(i)["type"] for i in range(12)]
     else:
         assert all(c["type"] == "kraus" and c["rank_bound"] == 1 for c in certs)
     for choi, cert in zip(chois, certs):

@@ -50,6 +50,35 @@ def test_random_unitary_is_unitary():
     assert np.linalg.norm(u @ u.conj().T - np.eye(4)) < 1e-12
 
 
+def _random_complex_oracle(shape, rng):
+    """random_complex as one call drew it: real parts, then imaginary parts,
+    the complex array divided in place by sqrt(2)."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2)
+    return out
+
+
+@pytest.mark.parametrize("shapes,trials", [([(3, 2), 4, (2, 2, 2)], 5), ([(4, 1), (1, 4)], 1),
+                                           ([np.int64(6)], 3), ([(9, 9)] * 2, 7)])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_random_complex_trials_equal_the_per_trial_loop(shapes, trials, as_generator):
+    rng = np.random.default_rng(17) if as_generator else 17
+    stacks = linalg.random_complex_trials(shapes, trials, rng)
+    loop, calls = np.random.default_rng(17), np.random.default_rng(17)
+    assert len(stacks) == len(shapes)
+    for z in range(trials):
+        for shape, stack in zip(shapes, stacks):
+            expect = _random_complex_oracle(shape, loop)
+            assert stack.shape == (trials, *np.atleast_1d(shape))
+            assert stack[z].tobytes() == expect.tobytes()
+            assert linalg.random_complex(shape, calls).tobytes() == expect.tobytes()
+    if as_generator:
+        # the bulk draw leaves the Generator where the loop leaves its own
+        assert rng.standard_normal() == loop.standard_normal()
+
+
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 4), cols=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_matrix_json_roundtrip(rows, cols, seed):

@@ -153,18 +153,54 @@ def _lemma6_oracle(m, n, trials, seed):
 ORACLES = {"prop1": _prop1_oracle, "isometry": _isometry_oracle, "lemma6": _lemma6_oracle}
 
 
+# What check_thm4 and check_thm5 drew trial by trial, without their algebra.
+
+def _thm4_draws(m, n, k, trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(max(1, trials // 20)):
+        linalg.random_complex((n, m), rng)
+        for _ in range(20):
+            linalg.random_complex((n, k), rng)
+            linalg.random_complex((k, m), rng)
+
+
+def _thm5_draws(m, n, k, trials, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        linalg.random_complex((n, k), rng)
+        linalg.random_complex((k, m), rng)
+    linalg.random_complex((n, m), rng)
+    # the Schmidt-rank searches below and above the threshold draw their
+    # restarts from seeds of their own
+    for search_seed in (seed + 1, seed + 2):
+        search = np.random.default_rng(search_seed)
+        linalg.random_complex((linalg.SCHMIDT_RESTARTS, n, k), search)
+        linalg.random_complex((linalg.SCHMIDT_RESTARTS, k, m), search)
+    for _ in range(trials):
+        linalg.random_complex((n, k), rng)
+        linalg.random_complex((m, k), rng)
+
+
 def _recorded(monkeypatch, run):
     """What run() returns, and every operator it drew through
-    linalg.random_complex, in draw order."""
-    drawn, draw = [], linalg.random_complex
+    linalg.random_complex_trials, which random_complex calls with one
+    trial, unstacked into per-trial draw order."""
+    drawn, draw = [], linalg.random_complex_trials
 
-    def recording(shape, rng):
-        drawn.append(draw(shape, rng))
-        return drawn[-1]
+    def recording(shapes, trials, rng):
+        stacks = draw(shapes, trials, rng)
+        drawn.extend(stack[z] for z in range(trials) for stack in stacks)
+        return stacks
 
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "random_complex", recording)
+        patch.setattr(linalg, "random_complex_trials", recording)
         return run(), drawn
+
+
+def _assert_same_draws(drawn, oracle_drawn):
+    assert len(drawn) == len(oracle_drawn)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(drawn, oracle_drawn))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
@@ -172,9 +208,17 @@ def test_stacked_check_draws_and_values_match_the_per_trial_loop(name, monkeypat
     check = getattr(verifier, f"check_{name}")
     report, drawn = _recorded(monkeypatch, lambda: check(2, 3, trials=10, seed=3))
     worst, oracle_drawn = _recorded(monkeypatch, lambda: ORACLES[name](2, 3, 10, 3))
-    assert len(drawn) == len(oracle_drawn)
-    assert all(np.array_equal(a, b) for a, b in zip(drawn, oracle_drawn))
+    _assert_same_draws(drawn, oracle_drawn)
     assert abs(report.max_violation - worst) <= 1e-13
+
+
+@pytest.mark.parametrize("name,trials", [("thm4", 45), ("thm4", 7), ("thm5", 12)])
+def test_bulk_drawn_check_draws_what_the_per_trial_loop_draws(name, trials, monkeypatch):
+    check, oracle = getattr(verifier, f"check_{name}"), globals()[f"_{name}_draws"]
+    report, drawn = _recorded(monkeypatch, lambda: check(2, 3, 2, trials=trials, seed=3))
+    _, oracle_drawn = _recorded(monkeypatch, lambda: oracle(2, 3, 2, trials, 3))
+    _assert_same_draws(drawn, oracle_drawn)
+    assert report.passed
 
 
 def test_prop1_fails_on_a_wrong_composition(monkeypatch):
