@@ -27,10 +27,8 @@ cone SPk: a conjugation Ad_V with rank V <= k.  V is the top-k singular
 truncation of unvec(w) for a family-pattern map, the lowest Choi
 eigenvector at k = min(m, n), and otherwise a point of the minimization of
 the Choi quadratic form over vectors of Schmidt rank <= k, by batched
-alternating minimization.  Only the comparison of that minimum with minus
-the tolerance decides, so the minimizer stops at the end of the first sweep
-in which any restart lies below it; a minimum that never gets there runs
-every sweep, as it would without the stop, unless it stalls.
+alternating minimization, :func:`linalg.schmidt_rank_min`, whose stops
+serve the only comparison made with its minimum, against minus the tolerance.
 Every tolerance is ``linalg.tolerance``, relative to the largest Choi entry,
 so a verdict is the same for every positive multiple of a map.
 k-superpositivity is certified by explicit Kraus decompositions.
@@ -287,14 +285,11 @@ class MemberConfig:
     ``linalg.tolerance(C, tol) = tol * max|C_ij|``, so it does not change
     when the map is scaled by a positive number.  ``samples`` bounds the
     generators of the dual cone that the composition test samples (at most
-    100 of them) and ``seed`` fixes every random start.  Both
-    iterative searches take at most ``linalg.MAX_SWEEPS`` sweeps: the
-    Schmidt-rank-k minimization (it stops earlier once every restart has
-    settled, at the end of the first sweep in which any restart lies below
-    minus the tolerance, or once its best restart has settled and no
-    restart can reach minus the tolerance in the sweeps left at its current
-    per-sweep drop) and the alternating projections that decide
-    join(CP, t(CP)) (they stop at the first certificate or witness).
+    100 of them) and ``seed`` fixes every random start.  The budgets of the
+    iterative searches are not settings: :func:`linalg.schmidt_rank_min`
+    owns its restarts, sweeps and stops, and the alternating projections
+    that decide join(CP, t(CP)) stop at the first certificate or witness or
+    after ``linalg.MAX_SWEEPS`` sweeps.
     A config with ``samples`` below 1, or with a ``tol`` that is negative
     or not finite, raises ValueError.
     """
@@ -519,33 +514,30 @@ def _pair_stack(chois, phi: SuperOperator, tol: float) -> np.ndarray:
 def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     """A generator Ad_V of SPk(k), the dual of Pk(k), that refutes phi.
 
-    Returns ``(found, value, sweeps)``: found is ``(Ad_V, <Ad_V, phi>,
-    certificate)`` when the pairing ``value`` is below -eps, eps the
-    ``linalg.tolerance`` of the Choi matrix, and None otherwise.  V is the
-    given n x m operator, of unit norm; without one it is the point the
-    minimization of the Choi quadratic form over unit vectors of Schmidt
-    rank <= k reached in ``sweeps`` sweeps (0 when no search ran).  The
-    minimizer stops at the end of the first sweep in which any restart lies
-    below -eps, the only comparison made here, and returns that restart, not
-    a converged one; or, with every value above -eps, once no restart falls
-    fast enough to reach -eps in the sweeps left, a stall stop that assumes
-    no restart's per-sweep drop grows (see :func:`linalg.schmidt_rank_min`).
+    Returns ``(witness, value, sweeps)``: witness is the ``dual_element``
+    of Ad_V, with a ``kraus`` certificate, when the pairing ``value`` =
+    <Ad_V, phi> is below -eps, eps the ``linalg.tolerance`` of the Choi
+    matrix, and None otherwise.  V is the given n x m operator, of unit
+    norm; without one it is the point that :func:`linalg.schmidt_rank_min`,
+    with ``stop_below`` -eps, reached in ``sweeps`` sweeps (0 when no search
+    ran).
     """
     m, n = phi.dims
     eps = linalg.tolerance(phi.choi, cfg.tol)
     sweeps = 0
     if v is None:
-        _, x, y, sweeps = linalg.schmidt_rank_min(phi.choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                                  linalg.MAX_SWEEPS, cfg.seed + 1,
+        _, x, y, sweeps = linalg.schmidt_rank_min(phi.choi, m, n, k, cfg.seed + 1,
                                                   stop_below=-eps)
         v = x @ y
     psi = ad_map(v)
     # the pairing <Ad_V, phi>, the Choi quadratic form at vec(V)
     value = float(superop.map_inner_stack(psi.choi, phi.choi).real)
-    found = None
+    witness = None
     if value < -eps:
-        found = psi, value, {"type": "kraus", "ops": [v], "rank_bound": k}
-    return found, value, sweeps
+        witness = {"type": "dual_element", "psi": psi,
+                   "psi_certificate": {"type": "kraus", "ops": [v], "rank_bound": k},
+                   "pairing": value}
+    return witness, value, sweeps
 
 
 def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
@@ -585,15 +577,6 @@ def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witne
                    diagnostics={"route": route, **effort, "cfg": cfg.as_dict()})
 
 
-def _dual_verdict(found, route: str, cfg: MemberConfig, **effort) -> Verdict:
-    """The not-member verdict of a refuting dual element ``(psi, pairing, certificate)``."""
-    psi, value, cert = found
-    return _verdict(NOT_MEMBER, route, cfg,
-                    witness={"type": "dual_element", "psi": psi, "psi_certificate": cert,
-                             "pairing": value},
-                    **effort)
-
-
 # ---------------------------------------------------------------------------
 # Decomposability: join(CP, t(CP)) by alternating projections
 # ---------------------------------------------------------------------------
@@ -627,8 +610,8 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
       ``psd_floor`` and a ``twirled`` one, in the order of that meet.
       <rho, C> below -``linalg.tolerance(C)`` refutes phi.
 
-    Returns ``(certificate, found, sweeps, closest)``: the hull certificate
-    or the refuting ``(psi, pairing, certificate)`` (at most one of them, both
+    Returns ``(certificate, witness, sweeps, closest)``: the hull
+    certificate or the refuting ``dual_element`` (at most one of them, both
     None after ``linalg.MAX_SWEEPS`` sweeps), the sweeps taken, and the least
     pairing of phi with the dual elements rho tried.
     """
@@ -662,12 +645,13 @@ def _decomposition(phi: SuperOperator, cfg: MemberConfig, twirl_first: bool):
             value = float(superop.map_inner_stack(rho, c).real)
             closest = min(closest, value)
             if value < -eps:
-                psi = SuperOperator(m, n, rho)
                 sides = [_floor_cert((low + delta) / scale),
                          {"type": "twirled", "inner": _floor_cert((neg[-1] + delta) / scale)}]
                 left, right = sides[::-1] if twirl_first else sides
-                cert = {"type": "both", "left": left, "right": right}
-                return None, (psi, value, cert), sweep, closest
+                witness = {"type": "dual_element", "psi": SuperOperator(m, n, rho),
+                           "psi_certificate": {"type": "both", "left": left, "right": right},
+                           "pairing": value}
+                return None, witness, sweep, closest
         rest_vals = np.maximum(x_vals, 0.0)
         rest = superop.twirl_stack((x_vecs * rest_vals) @ x_vecs.conj().T, m, n)
         rest_floor = rest_vals[0]
@@ -776,9 +760,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     if isinstance(expr, Base) and expr.kind in ("CP", "SPk"):
         # SPk(k) lies in CP, and Ad_V for V = unvec of the lowest Choi
         # eigenvector refutes both
-        found = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
-        if found is not None:
-            return _dual_verdict(found, "not_cp", cfg)
+        witness = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
+        if witness is not None:
+            return _verdict(NOT_MEMBER, "not_cp", cfg, witness=witness)
 
     if isinstance(expr, Base) and expr.kind == "CP":
         return _verdict(MEMBER, "cp_spectrum", cfg, certificate=_floor_cert(vals[0]))
@@ -803,9 +787,9 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             # the top-k singular truncation of unvec(w) is the unit vector of
             # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
             v = family.truncation(unvec(w, m, n), k)
-            found = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
-            if found is not None:
-                return _dual_verdict(found, "family_projection", cfg)
+            witness = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
+            if witness is not None:
+                return _verdict(NOT_MEMBER, "family_projection", cfg, witness=witness)
         cert = _family_split(phi, k, vals, vecs, cfg.tol)
         if cert is not None:
             return _verdict(MEMBER, "family_split", cfg, certificate=cert)
@@ -815,10 +799,10 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             if co is not None:
                 return _verdict(MEMBER, "co_cp_subset", cfg,
                                 certificate={"type": "twirled", "inner": co})
-        found, closest, sweeps = _conjugation_witness(phi, k, cfg)
+        witness, closest, sweeps = _conjugation_witness(phi, k, cfg)
         route = "vector_search" if k == 1 else "projection_search"
-        if found is not None:
-            return _dual_verdict(found, route, cfg, sweeps=sweeps)
+        if witness is not None:
+            return _verdict(NOT_MEMBER, route, cfg, witness=witness, sweeps=sweeps)
         return _verdict(UNKNOWN, route, cfg, sweeps=sweeps, closest_value=closest)
 
     if isinstance(expr, Base) and expr.kind == "SPk":
@@ -885,11 +869,12 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
             return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=positive.witness,
                             **effort)
         if expr in _DECOMPOSABLE:
-            cert, found, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
+            cert, witness, sweeps, closest = _decomposition(phi, cfg, expr.left != _CP)
             if cert is not None:
                 return _verdict(MEMBER, "join", cfg, certificate=cert, sweeps=sweeps)
-            if found is not None:
-                return _dual_verdict(found, "join_dual_witness", cfg, sweeps=sweeps)
+            if witness is not None:
+                return _verdict(NOT_MEMBER, "join_dual_witness", cfg, witness=witness,
+                                sweeps=sweeps)
             effort = {"sweeps": sweeps}
             approach = {"closest_pairing": closest, **effort}
         else:

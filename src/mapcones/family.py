@@ -98,12 +98,8 @@ def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, seed, tol: float = 1e-
     Phi_lambda is k-positive iff its Choi quadratic form is nonnegative on
     vectors of Schmidt rank <= k; :func:`linalg.schmidt_rank_min` minimizes
     it there with ``stop_below`` -eps, eps the ``linalg.tolerance`` of the
-    Choi matrix.  Its stop at the end of the first sweep in which any
-    restart lies below -eps cannot change the comparison with -eps made
-    here; X then comes from that full sweep, so its columns are orthonormal.
-    Its stall stop, once no restart falls fast enough to reach -eps in the
-    sweeps left, leaves the comparison unchanged only while no restart's
-    per-sweep drop grows.  A value below -eps at V = X Y gives the rank-k
+    Choi matrix (its docstring states when that stop keeps the comparison
+    with -eps made here).  A value below -eps at V = X Y gives the rank-k
     projection E = X X^dagger onto a space containing the range of V, and
     the witness stands only if Ad_E . Phi_lambda fails the CP eigenvalue
     test within its own tolerance.  Returns
@@ -114,10 +110,7 @@ def brute_force_k_positivity(spec: PhiLambdaSpec, k: int, seed, tol: float = 1e-
         raise ValueError(f"k must satisfy 1 <= k <= {min(m, n)}, got {k}")
     phi = build(spec)
     eps = linalg.tolerance(phi.choi, tol)
-    quad, x, _, _ = linalg.schmidt_rank_min(phi.choi, m, n, k,
-                                            restarts=linalg.SCHMIDT_RESTARTS,
-                                            max_iters=linalg.MAX_SWEEPS,
-                                            seed=seed, stop_below=-eps)
+    quad, x, _, _ = linalg.schmidt_rank_min(phi.choi, m, n, k, seed, stop_below=-eps)
     if quad < -eps:
         e = x @ x.conj().T
         comp = ad_map(e).compose(phi).choi

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -101,6 +102,10 @@ def test_witness_command(capsys, files):
     code, out = run(capsys, "witness", files["t2"], "CP")
     assert code == 0
     assert out["pairing"] < -1e-6
+    # a member has no witness
+    code, out = run(capsys, "witness", files["id2"], "CP")
+    assert code == 2
+    assert out == {"witness": None}
 
 
 def _ad_u_plus_trace():
@@ -149,6 +154,10 @@ def test_from_choi_and_dims_mismatch(capsys, files, tmp_path):
     code, out = run(capsys, "from-choi", str(c), "--dims", "2,2")
     assert code == 0 and out["m"] == 2
     assert cli.main(["from-choi", str(c), "--dims", "3,3"]) == 65
+    capsys.readouterr()
+    assert cli.main(["from-choi", str(c), "--dims", "2x2"]) == 66
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dims must be 'm,n'")
 
 
 def test_compose_dimension_mismatch_exit_65(capsys, files):
@@ -161,6 +170,29 @@ def test_pair_command(capsys, files):
     assert code == 0
     # <id, t> = Tr(swap) = 2 on C^2
     assert abs(out["pairing"] - 2.0) < 1e-9
+
+
+def test_adjoint_command(capsys, tmp_path):
+    phi = superop.random_map(2, 3, np.random.default_rng(6))
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(superop.superop_to_json(phi)))
+    code, out = run(capsys, "adjoint", str(path))
+    assert code == 0
+    adj = superop.superop_from_json(out)
+    assert adj.dims == (3, 2) and adj.isclose(phi.adjoint(), 1e-12)
+
+
+def test_inner_command(capsys, files):
+    # <id, id> = Tr(C C^dagger) = 4 for the Choi matrix C of the 2 x 2 identity
+    code, out = run(capsys, "inner", files["id2"], files["id2"])
+    assert code == 0
+    assert out == {"inner": [4.0, 0.0]}
+
+
+def test_dash_reads_the_map_from_stdin(capsys, monkeypatch, files):
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(files["t2"]).read_text()))
+    code, out = run(capsys, "member", "-", "P")
+    assert code == 0 and out["status"] == "member"
 
 
 def test_malformed_json_nonzero(capsys, files):
@@ -184,6 +216,11 @@ def _hp_entries(entries):
 _MISSING_DIR = object()  # stands for an --output path in a missing directory
 _NOT_HP = superop.superop_to_json(
     superop.from_choi(np.triu(np.ones((4, 4), dtype=complex)), 2, 2))
+# A = ones(9, 9) and B = H + 1j delta ones(9, 9), delta = 0.4e-9 max|H|: both
+# Hermiticity-preserving within tol, but <A, B> has an imaginary residue
+_H = linalg.random_hermitian(9, np.random.default_rng(3))
+_RESIDUE_PAIR = [superop.superop_to_json(superop.from_choi(c, 3, 3)) for c in (
+    np.ones((9, 9), dtype=complex), _H + 0.4e-9j * np.abs(_H).max() * np.ones((9, 9)))]
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -191,6 +228,7 @@ _NOT_HP = superop.superop_to_json(
     pytest.param(["member", _hp_json(2, m=2.9), "P"], 66, id="float_dim"),
     pytest.param(["member", _hp_json(1, m=True), "P"], 66, id="bool_dim"),
     pytest.param(["witness", _NOT_HP, "P"], 66, id="witness_not_hp"),
+    pytest.param(["pair", *_RESIDUE_PAIR], 66, id="pair_imaginary_residue"),
     pytest.param(["witness", "--samples", "0", _hp_json(3),
                   "join(Pk(2),t(Pk(2)))"], 66, id="witness_samples_0"),
     pytest.param(["verify", "--dims", "2,2", "--trials", "0"], 66, id="verify_trials_0"),

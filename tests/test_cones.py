@@ -102,6 +102,27 @@ def test_includes_chain():
     assert includes(nc("CP"), nc("SPk(2)"))
     assert includes(nc("SPk(2)"), nc("SP"))
     assert not includes(nc("CP"), nc("P"))
+    # the join, meet and twirl rules
+    assert includes(nc("join(CP,t(CP))"), nc("CP"))
+    assert includes(nc("CP"), nc("meet(CP,t(CP))"))
+    assert not includes(nc("meet(Pk(2),t(CP))"), nc("CP"))
+    assert includes(nc("t(Pk(2))"), nc("t(CP)"))
+    assert includes(nc("meet(Pk(2),P)"), nc("CP"))
+
+
+# (outer, inner) pairs that includes() accepts, one or more rules each
+INCLUDED = [("P", "Pk(2)"), ("Pk(2)", "CP"), ("CP", "SPk(2)"), ("join(CP,t(CP))", "CP"),
+            ("CP", "meet(CP,t(CP))"), ("t(Pk(2))", "t(CP)"), ("meet(Pk(2),P)", "CP")]
+
+
+def test_included_cones_generators_are_never_refuted_by_the_outer_cone():
+    # includes() is sound only if every map of the inner cone lies in the
+    # outer one: no sampled generator of it may be refuted there
+    for i, (outer, inner) in enumerate(INCLUDED):
+        outer, inner = normalize(parse_cone(outer), 3, 3), normalize(parse_cone(inner), 3, 3)
+        assert includes(outer, inner)
+        for g in sample_generators(inner, 3, 3, 20, i):
+            assert member(g, outer, CFG).status != NOT_MEMBER, (outer, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +151,26 @@ def test_pair_requires_hp():
     phi = superop.from_choi(phi.choi + 1j * np.diag([1.0, 0, 0, 0]), 2, 2)
     with pytest.raises(ValueError):
         pair(phi, identity_map(2))
+    with pytest.raises(ValueError, match="second argument"):
+        pair(identity_map(2), phi)
+
+
+def _residue_pair():
+    """A = ones(9, 9) and B = H + 1j delta ones(9, 9) at 3 x 3, H random
+    Hermitian and delta = 0.4e-9 max|H|.  B's Hermiticity defect 2 delta is
+    within the tolerance 1e-9 max|B|, but the imaginary part 81 delta of
+    <A, B> is far above the pairing tolerance."""
+    h = linalg.random_hermitian(9, np.random.default_rng(3))
+    delta = 0.4e-9 * np.abs(h).max()
+    return (superop.from_choi(np.ones((9, 9), dtype=complex), 3, 3),
+            superop.from_choi(h + 1j * delta * np.ones((9, 9)), 3, 3))
+
+
+def test_pair_raises_on_an_imaginary_residue():
+    a, b = _residue_pair()
+    assert a.is_hermiticity_preserving() and b.is_hermiticity_preserving()
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        pair(a, b)
 
 
 def test_pair_trace_against_identity():
@@ -492,6 +533,10 @@ def test_recheck_rejects_tampered_verdict():
     assert verdict.status == MEMBER
     other = transpose_map(2)
     assert not recheck(other, verdict)
+    # Kraus operators that do not rebuild the map
+    u = linalg.random_unitary(2, np.random.default_rng(4))
+    assert recheck(ad_map(u), cones.Verdict(MEMBER, certificate=_kraus_cert(u, 2)))
+    assert not recheck(phi, cones.Verdict(MEMBER, certificate=_kraus_cert(u, 2)))
 
 
 def _kraus_cert(op, rank_bound):
@@ -500,6 +545,18 @@ def _kraus_cert(op, rank_bound):
 
 def _part(phi, cert):
     return {"choi": phi.choi, "certificate": cert}
+
+
+def test_recheck_rejects_a_dual_element_whose_certificate_fails_on_psi():
+    # the transposition's CP refutation Ad_V, with its Kraus certificate
+    # swapped for one of the identity: the pairing still refutes, psi's
+    # membership in the dual cone is no longer proved
+    phi = transpose_map(2)
+    verdict = member(phi, normalize(parse_cone("CP"), 2, 2), CFG)
+    assert verdict.status == NOT_MEMBER and recheck(phi, verdict)
+    wit = dict(verdict.witness, psi_certificate=_kraus_cert(np.eye(2, dtype=complex), 2))
+    assert pair(wit["psi"], phi) < 0
+    assert not recheck(phi, cones.Verdict(NOT_MEMBER, witness=wit))
 
 
 def test_recheck_rejects_hull_of_other_maps():
@@ -664,12 +721,13 @@ def test_member_and_witness_search_refute_with_the_same_conjugation():
             # the exact truncation and the search's first point below -eps
             # are different conjugations: each must refute with its own pairing
             eps = linalg.tolerance(phi.choi, CFG.tol)
-            for chi, value in ((psi, verdict.witness["pairing"]), (found[0], found[1])):
+            for chi, value in ((psi, verdict.witness["pairing"]),
+                               (found["psi"], found["pairing"])):
                 assert value < -eps
                 assert abs(value - pair(chi, phi)) <= linalg.tolerance(phi.choi, 1e-12)
         else:
-            assert np.array_equal(psi.choi, found[0].choi)
-            assert verdict.witness["pairing"] == found[1]
+            assert np.array_equal(psi.choi, found["psi"].choi)
+            assert verdict.witness["pairing"] == found["pairing"]
     assert refuted == len(cases) - 2
 
 
@@ -728,7 +786,7 @@ def test_family_pattern_accepts_only_what_witness_search_cannot_refute():
                 assert found is None, scale
             else:
                 assert found is not None
-                assert found[1] < -linalg.tolerance(phi.choi, CFG.tol)
+                assert found["pairing"] < -linalg.tolerance(phi.choi, CFG.tol)
                 _assert_conjugation_witness(phi, verdict, "family_projection", 2)
 
 
@@ -878,7 +936,7 @@ def test_decomposition_decides_wherever_sampling_refutes():
             engine += cert is not None or found is not None
             if found is not None:
                 # here the lift delta * I is needed in some maps
-                _assert_ppt(found[0])
+                _assert_ppt(found["psi"])
             if by_sampling:
                 sampled += 1
                 assert found is not None, (m, n)
@@ -917,10 +975,10 @@ def test_member_and_witness_search_refute_join_with_the_same_element():
         phi = _rotated(_ckl_choi(*abc), 50 + i)
         verdict = member(phi, expr, CFG)
         # the projection engine alone, without member's child verdicts
-        psi, value, cert = cones._decomposition(phi, CFG, False)[1]
-        assert np.array_equal(verdict.witness["psi"].choi, psi.choi)
-        assert verdict.witness["pairing"] == value
-        assert cert is not None
+        found = cones._decomposition(phi, CFG, False)[1]
+        assert np.array_equal(verdict.witness["psi"].choi, found["psi"].choi)
+        assert verdict.witness["pairing"] == found["pairing"]
+        assert found["psi_certificate"] is not None
     # a decomposable map has no witness
     cert, found, _, _ = cones._decomposition(superop.from_choi(_ckl_choi(2.0, 0.6, 0.6), 3, 3),
                                              CFG, False)
@@ -1234,6 +1292,16 @@ SCHEMA_CASES = [
                  ["left", "right", "closest_composition_eigenvalue", "dual_samples"],
                  id="join_sampled_unknown"),
 ]
+
+
+def test_meet_is_unknown_where_both_sides_are():
+    # Phi[2,1,0] is positive with product-vector minimum 0: neither P side
+    # certifies or refutes it, so the meet has no verdict either
+    verdict = member(_ckl(2.0, 1.0, 0.0), normalize(parse_cone("meet(P,P)"), 3, 3), CFG)
+    assert verdict.status == UNKNOWN
+    diag = verdict.diagnostics
+    assert diag["route"] == "meet"
+    assert diag["left"] == diag["right"] == UNKNOWN
 
 
 def _assert_schema(diag, cfg):

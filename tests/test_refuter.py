@@ -12,6 +12,16 @@ from mapcones.superop import unvec, vec
 DIMS = [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)]
 
 
+@pytest.fixture
+def budget(monkeypatch):
+    """Sets the restarts and sweeps of ``schmidt_rank_min``: the module
+    constants ``SCHMIDT_RESTARTS`` and ``MAX_SWEEPS`` it reads on each call."""
+    def set_budget(restarts, sweeps):
+        monkeypatch.setattr(linalg, "SCHMIDT_RESTARTS", restarts)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", sweeps)
+    return set_budget
+
+
 def _quad(choi, v):
     return float(np.real(np.vdot(vec(v), choi @ vec(v))))
 
@@ -43,9 +53,10 @@ def _loop_min(choi, m, n, k, restarts, max_iters, seed):
 
 
 @pytest.mark.parametrize("m,n", DIMS)
-def test_full_schmidt_rank_gives_lowest_eigenvalue(m, n):
+def test_full_schmidt_rank_gives_lowest_eigenvalue(m, n, budget):
+    budget(4, 60)
     choi = linalg.random_hermitian(m * n, np.random.default_rng([m, n]))
-    val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, min(m, n), 4, 60, seed=0)
+    val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, min(m, n), seed=0)
     assert val == pytest.approx(np.linalg.eigvalsh(choi)[0], abs=1e-9)
     assert _quad(choi, x @ y) == pytest.approx(val, abs=1e-9)
 
@@ -59,14 +70,15 @@ def test_family_maps_reach_the_top_k_singular_values(m, n):
     choi = a * np.eye(m * n) - b * np.outer(w, w.conj())
     sv = np.linalg.svd(unvec(w, m, n), compute_uv=False)
     for k in range(1, min(m, n) + 1):
-        val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, k, 8, 60, seed=k)
+        val, x, y, _ = linalg.schmidt_rank_min(choi, m, n, k, seed=k)
         assert val == pytest.approx(a - b * np.sum(sv[:k] ** 2), abs=1e-9)
         np.testing.assert_allclose(x.conj().T @ x, np.eye(k), atol=1e-12)
         assert np.linalg.norm(x @ y) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("m,n", DIMS)
-def test_batched_minimizer_matches_the_unbatched_loop(m, n):
+def test_batched_minimizer_matches_the_unbatched_loop(m, n, budget):
+    budget(4, 60)
     rng = np.random.default_rng([m, n, 2])
     corpus = [linalg.random_hermitian(m * n, rng)]
     w = vec(linalg.random_complex((n, m), rng))
@@ -74,7 +86,7 @@ def test_batched_minimizer_matches_the_unbatched_loop(m, n):
                   + 0.05 * linalg.random_hermitian(m * n, rng))
     for i, choi in enumerate(corpus):
         for k in range(1, min(m, n)):
-            val, _, _, _ = linalg.schmidt_rank_min(choi, m, n, k, 4, 60, seed=i)
+            val, _, _, _ = linalg.schmidt_rank_min(choi, m, n, k, seed=i)
             assert val <= _loop_min(choi, m, n, k, 4, 60, seed=i) + 1e-8
 
 
@@ -109,11 +121,12 @@ def _qr_einsum_min(choi, m, n, k, restarts, max_iters, seed):
 
 @pytest.mark.parametrize("m,n", DIMS)
 @pytest.mark.parametrize("max_iters", [1, 5])
-def test_matmul_sweep_matches_the_qr_einsum_sweep(m, n, max_iters):
+def test_matmul_sweep_matches_the_qr_einsum_sweep(m, n, max_iters, budget):
+    budget(4, max_iters)
     rng = np.random.default_rng([m, n, 3])
     choi = linalg.random_hermitian(m * n, rng)
     for k in range(1, min(m, n)):
-        val, x, y, sweeps = linalg.schmidt_rank_min(choi, m, n, k, 4, max_iters, seed=k)
+        val, x, y, sweeps = linalg.schmidt_rank_min(choi, m, n, k, seed=k)
         ref_val, ref_x, ref_y, ref_sweeps = _qr_einsum_min(choi, m, n, k, 4, max_iters, k)
         assert abs(val - ref_val) <= 1e-12 * np.abs(choi).max()
         assert sweeps == ref_sweeps
@@ -128,8 +141,8 @@ def test_matmul_sweep_matches_the_qr_einsum_sweep(m, n, max_iters):
 
 def test_same_seed_gives_identical_arrays():
     choi = linalg.random_hermitian(12, np.random.default_rng(5))
-    first = linalg.schmidt_rank_min(choi, 3, 4, 2, 8, 60, seed=3)
-    second = linalg.schmidt_rank_min(choi, 3, 4, 2, 8, 60, seed=3)
+    first = linalg.schmidt_rank_min(choi, 3, 4, 2, seed=3)
+    second = linalg.schmidt_rank_min(choi, 3, 4, 2, seed=3)
     assert first[0] == second[0]
     assert first[1].tobytes() == second[1].tobytes()
     assert first[2].tobytes() == second[2].tobytes()
@@ -158,14 +171,13 @@ def _rotated_ckl(a, b, c, seed):
 
 
 def _both_runs(choi, m, n, k, seed):
-    full = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed)
-    early = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed,
-                                    stop_below=-TOL)
+    full = linalg.schmidt_rank_min(choi, m, n, k, seed)
+    early = linalg.schmidt_rank_min(choi, m, n, k, seed, stop_below=-TOL)
     return full, early
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_stop_below_ends_early_on_settled_refutations(seed):
+def test_stop_below_ends_early_on_settled_refutations(seed, monkeypatch):
     # Phi[2,0.8,0] is not positive (a + b + c < 3), and a random HP map is
     # far from 2-positive: both minima lie far below -tol
     rng = np.random.default_rng([seed, 3])
@@ -179,8 +191,9 @@ def test_stop_below_ends_early_on_settled_refutations(seed):
         # the first crossing: no restart was below -tol a sweep earlier, and
         # the full run goes on from there to a value no higher
         if early[3] > 1:
-            before = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                             early[3] - 1, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "MAX_SWEEPS", early[3] - 1)
+                before = linalg.schmidt_rank_min(choi, m, n, k, seed)
             assert before[0] >= -TOL
         assert full[0] <= early[0] + 1e-12 * np.abs(choi).max()
 
@@ -227,7 +240,7 @@ def _shifted_hp(m, n, k, delta, rng, seed):
     Schmidt-rank-k minimum of its full run sits at delta * max|H|; the shift
     moves every sweep's values by the same constant."""
     h = linalg.random_hermitian(m * n, rng)
-    low = linalg.schmidt_rank_min(h, m, n, k, linalg.SCHMIDT_RESTARTS, 60, seed)[0]
+    low = linalg.schmidt_rank_min(h, m, n, k, seed)[0]
     return h + (delta * np.abs(h).max() - low) * np.eye(m * n)
 
 
@@ -239,7 +252,7 @@ def _ckl_outside(a, eta, u, seed):
     return _rotated_ckl(a, b, c, seed)
 
 
-def test_stop_below_keeps_every_decision_near_the_boundary():
+def test_stop_below_keeps_every_decision_near_the_boundary(monkeypatch):
     # the stall exit assumes no restart's per-sweep drop grows; near -tol a
     # breach of that premise would flip a decision, so the corpus puts the
     # minimum within 1e-9 to 1e-2 times max|H| of zero, on both sides
@@ -256,15 +269,15 @@ def test_stop_below_keeps_every_decision_near_the_boundary():
     decisions = []
     for i, (choi, m, n, k) in enumerate(corpus):
         eps = linalg.tolerance(choi, TOL)
-        full = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, i)
-        early = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS, 60, i,
-                                        stop_below=-eps)
+        full = linalg.schmidt_rank_min(choi, m, n, k, i)
+        early = linalg.schmidt_rank_min(choi, m, n, k, i, stop_below=-eps)
         assert (early[0] < -eps) == (full[0] < -eps)
         assert early[3] <= full[3]
         if early[0] < -eps:
             # a refutation is the full run cut at the same sweep, bit for bit
-            cut = linalg.schmidt_rank_min(choi, m, n, k, linalg.SCHMIDT_RESTARTS,
-                                          early[3], i)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "MAX_SWEEPS", early[3])
+                cut = linalg.schmidt_rank_min(choi, m, n, k, i)
             assert early[0] == cut[0] and early[3] == cut[3]
             assert early[1].tobytes() == cut[1].tobytes()
             assert early[2].tobytes() == cut[2].tobytes()
@@ -273,12 +286,12 @@ def test_stop_below_keeps_every_decision_near_the_boundary():
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
-def test_stall_exit_guards_the_first_and_last_sweep(max_iters):
+def test_stall_exit_guards_the_first_and_last_sweep(max_iters, monkeypatch):
     # the first sweep's drop is inf and the last leaves 0 sweeps: their
     # product would raise a RuntimeWarning, an error under pytest here
     choi = _rotated_ckl(2.0, 1.0, 0.0, 0)
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", max_iters)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, _, _, sweeps = linalg.schmidt_rank_min(choi, 3, 3, 1, linalg.SCHMIDT_RESTARTS,
-                                                    max_iters, 0, stop_below=-TOL)
+        val, _, _, sweeps = linalg.schmidt_rank_min(choi, 3, 3, 1, 0, stop_below=-TOL)
     assert np.isfinite(val) and sweeps == max_iters
