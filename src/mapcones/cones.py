@@ -46,6 +46,7 @@ the rank-one conjugations.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -402,8 +403,9 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     Returns ``(chois, cert)``: a ``(count, m*n, m*n)`` array and a function
     ``cert(i)`` that builds the certificate of map i, which :func:`recheck`
     verifies.  Certificates are built on demand, since callers use at most
-    one of them.  Base cones draw all their random operators at once, and a
-    twirl transposes the whole stack and wraps its child's certificates.  A join mixes two stacks with
+    one of them; every array they hold is read-only.  Base cones draw all
+    their random operators at once, and a twirl transposes the whole stack
+    and wraps its child's certificates.  A join mixes two stacks with
     Dirichlet weights into a ``hull`` whose parts carry their Choi matrices
     and certificates.  A meet samples a side that the other side includes
     (:func:`includes`), with that side's certificates, and otherwise
@@ -415,34 +417,37 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
     if isinstance(expr, Base) and expr.kind == "SPk":
         # V = X Y with X n x k and Y k x m has rank <= k
         g = linalg.random_complex((count, n + m, expr.k), rng)
-        ops = g[:, :n] @ np.swapaxes(g[:, n:], 1, 2)
+        ops = _read_only(g[:, :n] @ np.swapaxes(g[:, n:], 1, 2))
         return (superop.kraus_stack(ops[:, None]),
                 lambda i: {"type": "kraus", "ops": [ops[i]], "rank_bound": expr.k})
     if isinstance(expr, Base) and expr.kind == "CP":
         ranks = rng.integers(1, 4, size=count)
         ops = linalg.random_complex((count, 3, n, m), rng)
         ops[np.arange(3) >= ranks[:, None]] = 0
+        _read_only(ops)
         return (superop.kraus_stack(ops),
                 lambda i: {"type": "kraus", "ops": list(ops[i, :ranks[i]]), "rank_bound": kmax})
     if isinstance(expr, Base) and expr.kind == "Pk":
         # cycle through boundary members of the Tr - lambda Ad_W family
         # (k-positive by the analytic threshold), two-operator Kraus maps and,
-        # at k = 1 only, completely co-positive maps
+        # at k = 1 only, completely co-positive maps; each row computes only
+        # its own kind, the family rows fan_k of w = vec(W), W the first draw
         k = expr.k
-        mode = np.arange(count) % (3 if k == 1 else 2)
-        ops = linalg.random_complex((count, 2, n, m), rng)
-        chois = superop.kraus_stack(ops)
-        w = superop.vec_stack(ops[:, 0])
-        w = w / np.linalg.norm(w, axis=1, keepdims=True)
-        lam = (1.0 - 1e-12) / family.fan(w, m, n, k)
-        fam = mode == 0
-        chois[fam] = family.choi(1.0, lam[fam], w[fam])
-        co = mode == 2
-        chois[co] = superop.twirl_stack(chois[co], m, n)
+        period = 3 if k == 1 else 2
+        mode = np.arange(count) % period
+        ops = _read_only(linalg.random_complex((count, 2, n, m), rng))
+        w = superop.vec_stack(ops[mode == 0, 0])
+        w = _read_only(w / np.linalg.norm(w, axis=1, keepdims=True))
+        lam = _read_only((1.0 - 1e-12) / family.fan(w, m, n, k))
+        chois = np.empty((count, m * n, m * n), dtype=np.complex128)
+        chois[mode == 0] = family.choi(1.0, lam, w)
+        chois[mode == 1] = superop.kraus_stack(ops[mode == 1])
+        chois[mode == 2] = superop.twirl_stack(superop.kraus_stack(ops[mode == 2]), m, n)
 
         def cert(i):
             if mode[i] == 0:
-                return {"type": "family", "a": 1.0, "b": float(lam[i]), "w": w[i], "k": k}
+                j = i // period
+                return {"type": "family", "a": 1.0, "b": float(lam[j]), "w": w[j], "k": k}
             if mode[i] == 1:
                 return {"type": "kraus", "ops": list(ops[i]), "rank_bound": kmax}
             return {"type": "twirled",
@@ -457,6 +462,7 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
         right, right_cert = _sample_stack(expr.right, m, n, count, rng)
         weights = rng.dirichlet((1.0, 1.0), size=count)
         mixed = weights[:, 0, None, None] * left + weights[:, 1, None, None] * right
+        _read_only(left, right)
         return mixed, lambda i: {
             "type": "hull", "weights": (float(weights[i, 0]), float(weights[i, 1])),
             "parts": [{"choi": left[i], "certificate": left_cert(i)},
@@ -469,6 +475,14 @@ def _sample_stack(expr: ConeExpr, m: int, n: int, count: int, rng):
                 return _sample_stack(side, m, n, count, rng)
         return _sample_stack(Base("SPk", 1), m, n, count, rng)
     raise TypeError(f"cannot sample from unnormalized expression: {expr!r}")
+
+
+def _read_only(*arrays):
+    """Mark arrays read-only and return the first: the arrays a sampled
+    certificate holds, which a cached sample shares with every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
 
 
 def sample_generators(expr: ConeExpr, m: int, n: int, count: int, seed) -> list[SuperOperator]:
@@ -540,6 +554,19 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
     return witness, value, sweeps
 
 
+@functools.lru_cache(maxsize=16)
+def _dual_generators(d: ConeExpr, m: int, n: int, count: int, seed):
+    """The ``count`` generators of the normalized cone d that
+    :func:`_sample_stack` draws at ``seed``, as ``(s_adj, cert)``: their
+    :func:`superop.adjoint_realigned` stack S(psi)^dagger, the operand of
+    the composition matmul, and the certificate function of the draw.  The
+    generators depend on these five arguments only, not on the map tested,
+    so the last 16 draws are kept; every array here and in a certificate is
+    read-only, and a caller that writes into one gets a ValueError."""
+    chois, cert = _sample_stack(d, m, n, count, seed)
+    return _read_only(superop.adjoint_realigned(chois, m, n)), cert
+
+
 def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     """The paper's composition test on sampled generators of the dual cone d.
 
@@ -554,19 +581,28 @@ def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     ``linalg.tolerance`` of its composition, with that
     ``composition_eigenvalue`` and pairing None, or None; samples is the
     number drawn and closest the least eigenvalue.
+
+    The draw comes from :func:`_dual_generators`, a cache of the last 16
+    draws keyed on (d, m, n, count, seed), which holds each one as the
+    read-only realigned adjoint stack S(psi)^dagger.  The compositions are
+    one :func:`superop.compose_realigned` matmul, bit for bit
+    ``compose_stack(adjoint_stack(...))``, and psi is rebuilt exactly from
+    its row.  Decisions at one config in one process share a draw; a single
+    ``mapcones member`` or ``witness`` process draws each dual cone about
+    once and gets no cache hit.
     """
     m, n = phi.dims
-    chois, cert = _sample_stack(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
-    comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
+    s_adj, cert = _dual_generators(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
+    comps = superop.compose_realigned(s_adj, phi.choi, m, n, m)
     floors = linalg.hermitian_part_eigvals(comps)[:, 0]
     hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
     witness = None
     if hits.size:
         first = hits[0]
-        witness = {"type": "dual_element", "psi": SuperOperator(m, n, chois[first]),
-                   "psi_certificate": cert(first),
+        psi = SuperOperator(m, n, superop.choi_of_adjoint_realigned(s_adj[first], m, n))
+        witness = {"type": "dual_element", "psi": psi, "psi_certificate": cert(first),
                    "composition_eigenvalue": float(floors[first]), "pairing": None}
-    return witness, len(chois), float(floors.min())
+    return witness, len(s_adj), float(floors.min())
 
 
 def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witness=None,

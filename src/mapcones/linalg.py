@@ -112,12 +112,14 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, seed, stop_below=None):
     stacked batch of alternating half-steps, for at most ``MAX_SWEEPS``
     sweeps.  Each half-step replaces the factor held fixed by one with
     orthonormal columns or rows and the same span (a batched QR of Y^H, or
-    of X; at k = 1, where the span is one line, a normalization), so
-    ||X Y|| is the norm of the free factor and the exact minimum over it is
-    the lowest eigenpair of a Hermitian (kn) x (kn) or (km) x (km) matrix.
-    That compressed matrix is two batched matmuls of the fixed factor with
-    views of C taken once per call.  The current point stays feasible, so
-    no restart's value increases.
+    of X), so ||X Y|| is the norm of the free factor and the exact minimum
+    over it is the lowest eigenpair of a Hermitian (kn) x (kn) or
+    (km) x (km) matrix.  That compressed matrix is two batched matmuls of
+    the fixed factor with views of the Hermitian part of C, taken once per
+    call, and goes to ``np.linalg.eigh`` as it is.  At k = 1, where the span
+    is one line, only the random start is normalized: every later fixed
+    factor is a unit eigenvector as eigh returns it.  The current point
+    stays feasible, so no restart's value increases.
 
     A restart has settled once a sweep lowers its value by no more than
     ``_SWEEP_DROP * max(max|C|, |value|)``, a test that, like every other,
@@ -148,7 +150,7 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, seed, stop_below=None):
     x has orthonormal columns and ||y|| = 1, so ||x @ y|| = 1.
     """
     restarts, max_iters = SCHMIDT_RESTARTS, MAX_SWEEPS
-    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    c4 = _hermitian_part(choi).reshape(m, n, m, n)
     # C[a i, b j] with the index a half-step contracts first at one end:
     # rows (a i j) by column b, and row i by columns (a b j)
     c_b = c4.transpose(0, 1, 3, 2).reshape(m * n * n, m)
@@ -156,6 +158,8 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, seed, stop_below=None):
     rng = np.random.default_rng(seed)
     x = random_complex((restarts, n, k), rng)
     y = random_complex((restarts, k, m), rng)
+    if k == 1:
+        y /= np.linalg.norm(y, axis=-1, keepdims=True)
     vals = np.full(restarts, np.inf)
     scale = float(np.abs(c4).max())
     sweeps = 0
@@ -163,18 +167,20 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, seed, stop_below=None):
         prev = vals
         # Y^H = Q R: X Y = (X R^H) Q^H, and Q^H has orthonormal rows;
         # mat[r i, s j] = sum_ab Q[a, r] C[a i, b j] conj(Q[b, s])
-        q = _orthonormal_columns(np.swapaxes(y, 1, 2).conj())
+        q = np.swapaxes(y, 1, 2).conj()
+        if k > 1:
+            q = np.linalg.qr(q)[0]
         t = (c_b @ q.conj()).reshape(restarts, m, n * n * k)
         mat = (np.swapaxes(q, 1, 2) @ t).reshape(restarts, k, n, n, k)
-        _, vecs = hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+        _, vecs = np.linalg.eigh(mat.transpose(0, 1, 2, 4, 3).reshape(
             restarts, k * n, k * n))
         x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
         # X = Q R: X Y = Q (R Y), and Q has orthonormal columns;
         # mat[r a, s b] = sum_ij conj(Q[i, r]) C[a i, b j] Q[j, s]
-        q = _orthonormal_columns(x)
+        q = x if k == 1 else np.linalg.qr(x)[0]
         t = (np.swapaxes(q, 1, 2).conj() @ c_i).reshape(restarts, k * m * m, n)
         mat = (t @ q).reshape(restarts, k, m, m, k)
-        vals, vecs = hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+        vals, vecs = np.linalg.eigh(mat.transpose(0, 1, 2, 4, 3).reshape(
             restarts, k * m, k * m))
         vals = vals[:, 0]
         x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
@@ -190,15 +196,6 @@ def schmidt_rank_min(choi, m: int, n: int, k: int, seed, stop_below=None):
             break
     best = int(np.argmin(vals))
     return float(vals[best]), x[best], y[best], sweeps
-
-
-def _orthonormal_columns(a):
-    """Orthonormal columns spanning those of each matrix in a stack: the Q of
-    a batched QR, or, for a single column, the column normalized, which
-    differs from that Q only by a phase that Ad_V ignores."""
-    if a.shape[-1] == 1:
-        return a / np.linalg.norm(a, axis=-2, keepdims=True)
-    return np.linalg.qr(a)[0]
 
 
 def singular_values(m) -> np.ndarray:

@@ -25,7 +25,7 @@ def vec(v) -> np.ndarray:
 
 def vec_stack(ops) -> np.ndarray:
     """:func:`vec` of each operator in a stack: shape (..., n, m) -> (..., m*n)."""
-    return np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], -1)
+    return np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], ops.shape[-2] * ops.shape[-1])
 
 
 def unvec(w, m: int, n: int) -> np.ndarray:
@@ -148,8 +148,14 @@ def compose_stack(outer, inner, m: int, k: int, n: int) -> np.ndarray:
     each a Choi matrix or a stack, broadcast over the leading axes.  S is the
     transpose of the map's matrix on row-major vectors, so S(Phi . Psi) =
     S(Psi) S(Phi) and the whole stack is one matmul."""
-    s = _realign(inner, m, k, m, k) @ _realign(outer, k, n, k, n)
-    return _realign(s, m, m, n, n)
+    return compose_realigned(_realign(outer, k, n, k, n), inner, m, k, n)
+
+
+def compose_realigned(outer_s, inner, m: int, k: int, n: int) -> np.ndarray:
+    """:func:`compose_stack` with the outer maps given as their realigned
+    matrices S, (k k) x (n n) each, such as :func:`adjoint_realigned`
+    returns: the same matmul, bit for bit, without realigning them again."""
+    return _realign(_realign(inner, m, k, m, k) @ outer_s, m, m, n, n)
 
 
 def adjoint_stack(chois, m: int, n: int) -> np.ndarray:
@@ -157,6 +163,22 @@ def adjoint_stack(chois, m: int, n: int) -> np.ndarray:
     S(Phi)^dagger, a conjugate plus a swap of the K/H index roles."""
     s = _realign(chois, m, n, m, n)
     return _realign(np.swapaxes(s, -1, -2).conj(), n, n, m, m)
+
+
+def adjoint_realigned(chois, m: int, n: int) -> np.ndarray:
+    """S(Phi^dagger) = S(Phi)^dagger, (n n) x (m m) and C-contiguous, for
+    maps Phi: m -> n: the matrix :func:`compose_stack` multiplies for the
+    outer map Phi^dagger, with the entries of ``adjoint_stack`` realigned.
+    :func:`choi_of_adjoint_realigned` recovers the Choi matrices exactly."""
+    s = np.ascontiguousarray(np.swapaxes(_realign(chois, m, n, m, n), -1, -2))
+    return np.conjugate(s, out=s)
+
+
+def choi_of_adjoint_realigned(s, m: int, n: int) -> np.ndarray:
+    """The Choi matrices of the maps m -> n whose :func:`adjoint_realigned`
+    is ``s``; both only permute and conjugate entries, so the round trip is
+    exact."""
+    return _realign(np.swapaxes(s, -1, -2).conj(), m, m, n, n)
 
 
 def map_inner_stack(a, b) -> np.ndarray:

@@ -459,6 +459,78 @@ def test_spk_dual_sampling_returns_the_first_hit_of_the_per_sample_loop():
     assert recheck(phi, verdict)
 
 
+def _arrays(obj):
+    """Every array a certificate holds, however deep."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+def _same_certificate(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_certificate(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_certificate(u, v) for u, v in zip(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+def test_cached_dual_sampling_is_the_compose_adjoint_path_bit_for_bit(m, n):
+    # duals of SPk(k), of sampled joins (meets) and of meets (joins, whose
+    # samples carry hull certificates); maps outside, near and inside the
+    # cones, so that the first hit is sample 0, a later one, or none
+    rng = np.random.default_rng([m, n, 9])
+    duals = [cones.Base("Pk", k) for k in range(1, min(m, n))]
+    duals += [dual_expr(normalize(parse_cone(text), m, n))
+              for text in ("join(P,t(CP))", "join(Pk(2),t(Pk(2)))", "meet(P,t(CP))")]
+    u = linalg.random_unitary(m, rng)[:n] if n <= m else linalg.random_unitary(n, rng)[:, :m]
+    ops = [linalg.random_complex((n, 1), rng) @ linalg.random_complex((1, m), rng)
+           for _ in range(3)]
+    maps = [superop.random_hp_map(m, n, rng),
+            superop.from_choi(ad_map(u).choi + 0.05 * np.eye(m * n), m, n),
+            superop.from_kraus(ops)]
+    cfg = MemberConfig(samples=60, seed=m * n)
+    cones._dual_generators.cache_clear()
+    for d in duals:
+        chois, cert = cones._sample_stack(d, m, n, 60, cfg.seed + 3)
+        for phi in maps:
+            comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
+            floors = linalg.hermitian_part_eigvals(comps)[:, 0]
+            hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
+            s_adj, _ = cones._dual_generators(d, m, n, 60, cfg.seed + 3)
+            assert superop.compose_realigned(s_adj, phi.choi, m, n, m).tobytes() == comps.tobytes()
+            for _ in ("cold", "warm"):
+                witness, samples, closest = cones._dual_sampling(phi, d, cfg)
+                assert samples == 60 and closest == floors.min()
+                assert (witness is None) == (hits.size == 0)
+                if witness is None:
+                    continue
+                first = hits[0]
+                assert witness["psi"].choi.tobytes() == chois[first].tobytes()
+                assert witness["composition_eigenvalue"] == floors[first]
+                assert _same_certificate(witness["psi_certificate"], cert(first))
+                # the cached arrays are shared: no caller may write into them
+                for a in [witness["psi"].choi, s_adj] + _arrays(witness["psi_certificate"]):
+                    with pytest.raises(ValueError):
+                        a[(0,) * a.ndim] = 0
+    assert cones._dual_generators.cache_info().hits > 0
+
+
+def test_dual_sampling_cache_keeps_at_most_its_maxsize():
+    phi = superop.random_hp_map(3, 3, np.random.default_rng(4))
+    maxsize = cones._dual_generators.cache_info().maxsize
+    cones._dual_generators.cache_clear()
+    for seed in range(maxsize + 5):
+        cones._dual_sampling(phi, cones.Base("Pk", 2), MemberConfig(samples=20, seed=seed))
+    assert cones._dual_generators.cache_info().currsize <= maxsize
+
+
 def test_unknown_verdicts_report_the_closest_approach():
     # Phi[2,1,0] is positive but not decomposable: no sampled dual generator
     # of join(CP,t(CP)) refutes it, but the projection engine does

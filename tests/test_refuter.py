@@ -252,10 +252,10 @@ def _ckl_outside(a, eta, u, seed):
     return _rotated_ckl(a, b, c, seed)
 
 
-def test_stop_below_keeps_every_decision_near_the_boundary(monkeypatch):
-    # the stall exit assumes no restart's per-sweep drop grows; near -tol a
-    # breach of that premise would flip a decision, so the corpus puts the
-    # minimum within 1e-9 to 1e-2 times max|H| of zero, on both sides
+def _near_boundary_corpus():
+    """Maps whose Schmidt-rank-k minimum lies within 1e-9 to 1e-2 times
+    max|H| of zero, on both sides: shifted HP maps and rotated Cho-Kye-Lee
+    maps just outside P."""
     rng = np.random.default_rng(12)
     corpus = []
     for i in range(40):
@@ -266,8 +266,15 @@ def test_stop_below_keeps_every_decision_near_the_boundary(monkeypatch):
     for i in range(20):
         a, eta, u = rng.uniform(1.0, 1.9), 10.0 ** rng.uniform(-6, -2), rng.uniform(1.0, 2.0)
         corpus.append((_ckl_outside(a, eta, u, i), 3, 3, 1))
+    return corpus
+
+
+def test_stop_below_keeps_every_decision_near_the_boundary(monkeypatch):
+    # the stall exit assumes no restart's per-sweep drop grows; near -tol a
+    # breach of that premise would flip a decision, so the corpus puts the
+    # minimum near zero
     decisions = []
-    for i, (choi, m, n, k) in enumerate(corpus):
+    for i, (choi, m, n, k) in enumerate(_near_boundary_corpus()):
         eps = linalg.tolerance(choi, TOL)
         full = linalg.schmidt_rank_min(choi, m, n, k, i)
         early = linalg.schmidt_rank_min(choi, m, n, k, i, stop_below=-eps)
@@ -295,3 +302,71 @@ def test_stall_exit_guards_the_first_and_last_sweep(max_iters, monkeypatch):
         warnings.simplefilter("error")
         val, _, _, sweeps = linalg.schmidt_rank_min(choi, 3, 3, 1, 0, stop_below=-TOL)
     assert np.isfinite(val) and sweeps == max_iters
+
+
+def _renormalizing_sweep_min(choi, m, n, k, seed, stop_below=None):
+    """The sweep before the lean one, as a reference: it takes the Hermitian
+    part of each compressed matrix, twice per sweep, and at k = 1
+    normalizes every fixed factor, eigenvectors included.  Same starts,
+    stops and return value as ``schmidt_rank_min``."""
+    def orthonormal_columns(a):
+        if a.shape[-1] == 1:
+            return a / np.linalg.norm(a, axis=-2, keepdims=True)
+        return np.linalg.qr(a)[0]
+
+    restarts, max_iters = linalg.SCHMIDT_RESTARTS, linalg.MAX_SWEEPS
+    c4 = np.asarray(choi, dtype=np.complex128).reshape(m, n, m, n)
+    c_b = c4.transpose(0, 1, 3, 2).reshape(m * n * n, m)
+    c_i = c4.transpose(1, 0, 2, 3).reshape(n, m * m * n)
+    rng = np.random.default_rng(seed)
+    x = linalg.random_complex((restarts, n, k), rng)
+    y = linalg.random_complex((restarts, k, m), rng)
+    vals = np.full(restarts, np.inf)
+    scale = float(np.abs(c4).max())
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        prev = vals
+        q = orthonormal_columns(np.swapaxes(y, 1, 2).conj())
+        t = (c_b @ q.conj()).reshape(restarts, m, n * n * k)
+        mat = (np.swapaxes(q, 1, 2) @ t).reshape(restarts, k, n, n, k)
+        _, vecs = linalg.hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+            restarts, k * n, k * n))
+        x = np.swapaxes(vecs[:, :, 0].reshape(restarts, k, n), 1, 2)
+        q = orthonormal_columns(x)
+        t = (np.swapaxes(q, 1, 2).conj() @ c_i).reshape(restarts, k * m * m, n)
+        mat = (t @ q).reshape(restarts, k, m, m, k)
+        vals, vecs = linalg.hermitian_part_eigen(mat.transpose(0, 1, 2, 4, 3).reshape(
+            restarts, k * m, k * m))
+        vals = vals[:, 0]
+        x, y = q, vecs[:, :, 0].reshape(restarts, k, m)
+        drop = prev - vals
+        settled = drop <= linalg._SWEEP_DROP * np.maximum(scale, np.abs(vals))
+        best = int(np.argmin(vals))
+        if settled.all():
+            break
+        if stop_below is not None and (vals[best] < stop_below or (settled[best] and np.all(
+                vals - np.maximum(drop, 0.0) * (max_iters - sweeps) >= stop_below))):
+            break
+    best = int(np.argmin(vals))
+    return float(vals[best]), x[best], y[best], sweeps
+
+
+def _random_hp_cases():
+    rng = np.random.default_rng(13)
+    return [(linalg.random_hermitian(m * n, rng), m, n, k)
+            for m, n in DIMS for k in range(1, min(m, n) + 1)]
+
+
+@pytest.mark.parametrize("cases", [_random_hp_cases, _near_boundary_corpus])
+def test_lean_sweep_matches_the_renormalizing_sweep(cases):
+    # the Hermitian part taken once, eigh on the compressed matrices as they
+    # are and no renormalization of unit eigenvectors change only rounding:
+    # the same sweeps, and values within 1e-12 max|C|
+    for i, (choi, m, n, k) in enumerate(cases()):
+        eps = linalg.tolerance(choi, TOL)
+        for stop_below in (None, -eps):
+            val, x, y, sweeps = linalg.schmidt_rank_min(choi, m, n, k, i, stop_below)
+            ref = _renormalizing_sweep_min(choi, m, n, k, i, stop_below)
+            assert sweeps == ref[3]
+            assert abs(val - ref[0]) <= 1e-12 * np.abs(choi).max()
+            assert np.linalg.norm(x @ y) == pytest.approx(1.0, abs=1e-12)
