@@ -48,7 +48,8 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # json's decoder recurses per nesting level: a deep file is malformed
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -77,10 +78,6 @@ def _jsonify(value):
         if value.ndim == 1:
             return [[float(z.real), float(z.imag)] for z in value]
         return linalg.matrix_to_json(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -246,16 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  "membership.")
     tol_help = ("decision tolerance, relative to the largest Choi entry (verify: the "
                 "absolute tolerance of its checks); default 1e-9")
+    seed_help = "seed of every random start and sample; default 0"
+    samples_help = ("dual-cone generators for the composition test, which draws at most "
+                    "100 of them; default 500")
     parser.add_argument("--tol", type=float, default=1e-9, help=tol_help)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=500)
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--samples", type=int, default=500, help=samples_help)
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=tol_help)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=seed_help)
+    common.add_argument("--samples", type=int, default=argparse.SUPPRESS, help=samples_help)
     common.add_argument("--output", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: _Parser(parents=[common], **kw))

@@ -100,6 +100,9 @@ class ConeGrammarError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(Pk|SPk|CP|P|SP|t|meet|join|dual|\(|\)|,|\d+)")
+# the most constructors (t, dual, meet, join) that may enclose a subexpression;
+# the parser and the decisions recurse once per level
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -116,7 +119,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_cone(text: str) -> ConeExpr:
-    """Parse the grammar ``P | SP | CP | Pk(k) | SPk(k) | t(e) | meet(e,e) | join(e,e) | dual(e)``."""
+    """Parse the grammar ``P | SP | CP | Pk(k) | SPk(k) | t(e) | meet(e,e) | join(e,e) | dual(e)``,
+    with at most ``_MAX_NESTING`` constructors around any subexpression."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -127,8 +131,10 @@ def parse_cone(text: str) -> ConeExpr:
             raise ConeGrammarError(f"expected {tok!r}, got {got!r}")
         pos += 1
 
-    def expr() -> ConeExpr:
+    def expr(depth: int = 0) -> ConeExpr:
         nonlocal pos
+        if depth > _MAX_NESTING:
+            raise ConeGrammarError(f"cone expression nested deeper than {_MAX_NESTING}")
         if pos >= len(tokens):
             raise ConeGrammarError("unexpected end of input")
         tok = tokens[pos]
@@ -151,19 +157,19 @@ def parse_cone(text: str) -> ConeExpr:
             return Base(tok, k)
         if tok == "t":
             expect("(")
-            child = expr()
+            child = expr(depth + 1)
             expect(")")
             return Twirl(child)
         if tok == "dual":
             expect("(")
-            child = expr()
+            child = expr(depth + 1)
             expect(")")
             return Dual(child)
         if tok in ("meet", "join"):
             expect("(")
-            left = expr()
+            left = expr(depth + 1)
             expect(",")
-            right = expr()
+            right = expr(depth + 1)
             expect(")")
             return (Meet if tok == "meet" else Join)(left, right)
         raise ConeGrammarError(f"unexpected token {tok!r}")
@@ -334,62 +340,6 @@ def pair(psi: SuperOperator, phi: SuperOperator, tol: float = 1e-9) -> float:
     if psi.dims != phi.dims:
         raise DimensionError(f"pair needs equal dims, got {psi.dims} and {phi.dims}")
     return float(_pair_stack(psi.choi[None], phi, tol)[0])
-
-
-# ---------------------------------------------------------------------------
-# Family-pattern recognition (Choi = a*I - b |w><w|)
-# ---------------------------------------------------------------------------
-
-def _spectral_family_pattern(phi: SuperOperator, vals, vecs, eps: float):
-    """Detect Choi = a*I - b*|w><w| with b > 0 from the Choi eigenpairs
-    ``(vals, vecs)``, within the tolerance ``eps`` of the Choi matrix;
-    returns (a, b, w) or None."""
-    d = phi.m * phi.n
-    if d < 2:
-        return None
-    a = float(np.median(vals[1:]))
-    if np.max(np.abs(vals[1:] - a)) > eps:
-        return None
-    b = a - float(vals[0])
-    if b <= eps:
-        return None
-    w = vecs[:, 0]
-    if np.max(np.abs(phi.choi - family.choi(a, b, w))) > eps:
-        return None
-    return a, b, w
-
-
-def _family_split(phi: SuperOperator, k: int, vals, vecs, tol: float) -> Optional[dict]:
-    """Certify phi in Pk(k) as a family map on the threshold plus a CP map.
-
-    With (vals, vecs) the ascending Choi eigenpairs, w = vecs[:, 0] and
-    f = fan_k(w), the family part is F = a*I - b*|w><w| with a = vals[1] and
-    b = a / f, so (b / a) * f = 1: F is k-positive (thm5).  C - F keeps the
-    eigenvectors of C, with eigenvalues vals[0] - a + a / f and
-    vals[i] - a >= 0.  Returns a ``hull``, weights (1, 1), of F with its
-    ``family`` certificate and C - F with its ``psd_floor``, when a exceeds
-    the tolerance of C and each part passes :func:`recheck` against its own
-    tolerance; else None.  Costs one SVD and one eigenvalue call.
-    """
-    m, n = phi.dims
-    a = float(vals[1])
-    if a <= linalg.tolerance(phi.choi, tol):
-        return None
-    w = vecs[:, 0]
-    fan = float(family.fan(w, m, n, k))
-    b = a / fan
-    lhs = (b / a) * fan
-    if lhs > 1.0 + tol:
-        return None
-    fam = family.choi(a, b, w)
-    rest = phi.choi - fam
-    floor = _psd_floor(linalg.hermitian_part_eigvals(rest)[0], linalg.tolerance(rest, tol))
-    if floor is None:
-        return None
-    parts = [{"choi": fam, "certificate": {"type": "family", "a": a, "b": b, "w": w, "k": k,
-                                           "threshold_lhs": lhs}},
-             {"choi": rest, "certificate": floor}]
-    return {"type": "hull", "weights": (1.0, 1.0), "parts": parts}
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +653,76 @@ def _floor_cert(val) -> dict:
     return {"type": "psd_floor", "min_eigenvalue": float(val)}
 
 
-def _psd_floor(val, eps: float) -> Optional[dict]:
-    """:func:`_floor_cert` of a least Choi eigenvalue ``val`` no lower than
-    minus the tolerance ``eps`` of the Choi matrix, else None."""
-    return _floor_cert(val) if val >= -eps else None
+def _family_step(phi: SuperOperator, k: int, vals, vecs, cfg: MemberConfig) -> Optional[Verdict]:
+    """Decide phi in Pk(k) by the family criterion (paper thm5): for a > 0,
+    a*I - b*|w><w| is the Choi matrix of a k-positive map iff
+    (b / a) * fan_k(w) <= 1.
+
+    ``(vals, vecs)`` are the ascending Choi eigenpairs of a map that is not
+    CP, vals[0] below -eps for eps the ``linalg.tolerance`` of its Choi
+    matrix C, and w = vecs[:, 0].  The routes run in this order:
+
+    * ``family_pattern``: C = a*I - b*|w><w| entrywise within eps, for a the
+      median of vals[1:], above eps, and b = a - vals[0].  Every vals[1:]
+      lies within eps of a, but that flatness alone leaves up to 1.5 * eps
+      in the entries, which :func:`recheck` can reject, so the entries are
+      compared too.  phi is a member, with a ``family`` certificate, when
+      (b / a) * fan_k(w) <= 1 + tol and the pairing a - b * fan_k(w), the
+      value the refuters compare with -eps, is at least -eps;
+    * ``family_projection``: otherwise the top-k singular truncation V of
+      unvec(w), the unit vector of Schmidt rank <= k with the least
+      quadratic form a - b * fan_k(w), refutes the pattern by Ad_V when
+      that form lies below -eps;
+    * ``family_split``: for a = vals[1] above eps and b = a / fan_k(w), the
+      family part F = a*I - b*|w><w| lies on the threshold, and C - F keeps
+      the eigenvectors of C, with eigenvalues vals[0] - a + a / fan_k(w) and
+      vals[i] - a >= 0.  phi is a member, a ``hull``, weights (1, 1), of F
+      with its ``family`` certificate and C - F with its ``psd_floor``, when
+      (b / a) * fan_k(w) <= 1 + tol, which rounding can break at tol = 0,
+      and C - F is PSD within its own tolerance.
+
+    Returns the verdict of the first route that decides, else None.
+    fan_k(w), one SVD, is computed at most once, and only when a route
+    reads it.
+    """
+    m, n = phi.dims
+    eps = linalg.tolerance(phi.choi, cfg.tol)
+    w = vecs[:, 0]
+    fan = None
+    a = float(np.median(vals[1:]))
+    b = a - float(vals[0])
+    if (a > eps and np.max(np.abs(vals[1:] - a)) <= eps
+            and np.max(np.abs(phi.choi - family.choi(a, b, w))) <= eps):
+        fan = float(family.fan(w, m, n, k))
+        lhs = (b / a) * fan
+        # the ratio is dimensionless and compares with tol itself
+        if lhs <= 1.0 + cfg.tol and a - b * fan >= -eps:
+            return _verdict(MEMBER, "family_pattern", cfg,
+                            certificate={"type": "family", "a": a, "b": b, "w": w, "k": k,
+                                         "threshold_lhs": lhs})
+        v = family.truncation(unvec(w, m, n), k)
+        witness = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
+        if witness is not None:
+            return _verdict(NOT_MEMBER, "family_projection", cfg, witness=witness)
+    a = float(vals[1])
+    if a <= eps:
+        return None
+    if fan is None:
+        fan = float(family.fan(w, m, n, k))
+    b = a / fan
+    lhs = (b / a) * fan
+    if lhs > 1.0 + cfg.tol:
+        return None
+    fam = family.choi(a, b, w)
+    rest = phi.choi - fam
+    floor = linalg.hermitian_part_eigvals(rest)[0]
+    if floor < -linalg.tolerance(rest, cfg.tol):
+        return None
+    parts = [{"choi": fam, "certificate": {"type": "family", "a": a, "b": b, "w": w, "k": k,
+                                           "threshold_lhs": lhs}},
+             {"choi": rest, "certificate": _floor_cert(floor)}]
+    return _verdict(MEMBER, "family_split", cfg,
+                    certificate={"type": "hull", "weights": (1.0, 1.0), "parts": parts})
 
 
 def _kraus_from_eigen(phi: SuperOperator, k: int, vals, vecs, eps: float):
@@ -757,9 +773,8 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     that route, then ``cfg`` (``cfg.as_dict()``):
 
     * ``cp_spectrum`` (CP member), ``not_cp`` (CP or SPk(k) refuted),
-      ``cp_subset``, ``family_pattern``, ``family_projection``,
-      ``family_split`` (a ``hull`` of a ``family`` map on the k-positivity
-      threshold and a ``psd_floor`` remainder, see :func:`_family_split`),
+      ``cp_subset``, the family routes of :func:`_family_step`
+      (``family_pattern``, ``family_projection`` and ``family_split``),
       ``co_cp_subset`` and ``eigendecomposition`` (SPk(k) member): none;
     * ``vector_search`` (k = 1) and ``projection_search`` (k > 1), the
       Schmidt-rank-k search on Pk(k): ``sweeps``, and on ``unknown``
@@ -792,57 +807,31 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
     if isinstance(expr, Base):
         # one Choi spectrum serves every base-cone route
         vals, vecs = linalg.hermitian_part_eigen(phi.choi)
-
-    if isinstance(expr, Base) and expr.kind in ("CP", "SPk"):
+        k = expr.k
+        if expr.kind == "Pk":
+            if vals[0] >= -eps:
+                return _verdict(MEMBER, "cp_subset", cfg, certificate=_floor_cert(vals[0]))
+            verdict = _family_step(phi, k, vals, vecs, cfg)
+            if verdict is not None:
+                return verdict
+            if k == 1:
+                # completely copositive maps are positive: Phi . t in CP certifies
+                co = linalg.hermitian_part_eigvals(phi.right_transpose().choi)[0]
+                if co >= -eps:
+                    return _verdict(MEMBER, "co_cp_subset", cfg,
+                                    certificate={"type": "twirled", "inner": _floor_cert(co)})
+            witness, closest, sweeps = _conjugation_witness(phi, k, cfg)
+            route = "vector_search" if k == 1 else "projection_search"
+            if witness is not None:
+                return _verdict(NOT_MEMBER, route, cfg, witness=witness, sweeps=sweeps)
+            return _verdict(UNKNOWN, route, cfg, sweeps=sweeps, closest_value=closest)
         # SPk(k) lies in CP, and Ad_V for V = unvec of the lowest Choi
         # eigenvector refutes both
         witness = _conjugation_witness(phi, kmax, cfg, unvec(vecs[:, 0], m, n))[0]
         if witness is not None:
             return _verdict(NOT_MEMBER, "not_cp", cfg, witness=witness)
-
-    if isinstance(expr, Base) and expr.kind == "CP":
-        return _verdict(MEMBER, "cp_spectrum", cfg, certificate=_floor_cert(vals[0]))
-
-    if isinstance(expr, Base) and expr.kind == "Pk":
-        k = expr.k
-        cert = _psd_floor(vals[0], eps)
-        if cert is not None:
-            return _verdict(MEMBER, "cp_subset", cfg, certificate=cert)
-        pattern = _spectral_family_pattern(phi, vals, vecs, eps)
-        if pattern is not None and pattern[0] > eps:
-            a, b, w = pattern
-            fan = float(family.fan(w, m, n, k))
-            lhs = (b / a) * fan
-            # the pairing a - b * fan_k(w) is the one the refuters compare
-            # with -eps, so an accepted map has no refutation; the ratio is
-            # dimensionless and compares with tol itself
-            if lhs <= 1.0 + cfg.tol and a - b * fan >= -eps:
-                return _verdict(MEMBER, "family_pattern", cfg,
-                                certificate={"type": "family", "a": a, "b": b, "w": w,
-                                             "k": k, "threshold_lhs": lhs})
-            # the top-k singular truncation of unvec(w) is the unit vector of
-            # Schmidt rank <= k with the least quadratic form, a - b * fan_k(w)
-            v = family.truncation(unvec(w, m, n), k)
-            witness = _conjugation_witness(phi, k, cfg, v / np.linalg.norm(v))[0]
-            if witness is not None:
-                return _verdict(NOT_MEMBER, "family_projection", cfg, witness=witness)
-        cert = _family_split(phi, k, vals, vecs, cfg.tol)
-        if cert is not None:
-            return _verdict(MEMBER, "family_split", cfg, certificate=cert)
-        if k == 1:
-            # completely copositive maps are positive: Phi . t in CP certifies
-            co = _psd_floor(linalg.hermitian_part_eigvals(phi.right_transpose().choi)[0], eps)
-            if co is not None:
-                return _verdict(MEMBER, "co_cp_subset", cfg,
-                                certificate={"type": "twirled", "inner": co})
-        witness, closest, sweeps = _conjugation_witness(phi, k, cfg)
-        route = "vector_search" if k == 1 else "projection_search"
-        if witness is not None:
-            return _verdict(NOT_MEMBER, route, cfg, witness=witness, sweeps=sweeps)
-        return _verdict(UNKNOWN, route, cfg, sweeps=sweeps, closest_value=closest)
-
-    if isinstance(expr, Base) and expr.kind == "SPk":
-        k = expr.k
+        if expr.kind == "CP":
+            return _verdict(MEMBER, "cp_spectrum", cfg, certificate=_floor_cert(vals[0]))
         ops = _kraus_from_eigen(phi, k, vals, vecs, eps)
         if ops is not None:
             return _verdict(MEMBER, "eigendecomposition", cfg,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapcones import cli, linalg, superop, verifier
+from mapcones import cli, cones, linalg, superop, verifier
 from mapcones.family import PhiLambdaSpec, build
 from mapcones.superop import identity_map, transpose_map
 
@@ -198,6 +198,36 @@ def test_dash_reads_the_map_from_stdin(capsys, monkeypatch, files):
 def test_malformed_json_nonzero(capsys, files):
     assert cli.main(["member", files["bad"], "CP"]) == 66
     assert cli.main(["member", files["notjson"], "CP"]) == 66
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_deeply_nested_json_is_malformed_input(capsys, monkeypatch, tmp_path, stdin):
+    # json's decoder recurses once per level and runs out far below this depth
+    text = "[" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["member", "-" if stdin else str(path), "P"]) == 66
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read JSON")
+
+
+def _nested(constructor, depth):
+    """``depth`` applications of a cone constructor around CP."""
+    head = f"{constructor}(" if constructor in ("t", "dual") else f"{constructor}(CP,"
+    return head * depth + "CP" + ")" * depth
+
+
+@pytest.mark.parametrize("constructor", ["t", "dual", "meet", "join"])
+def test_cone_nesting_bound_is_a_grammar_error(capsys, files, constructor):
+    # the identity is CP, so every chain of constructors around CP holds it
+    bound = cones._MAX_NESTING
+    code, out = run(capsys, "member", files["id2"], _nested(constructor, bound))
+    assert code == 0 and out["status"] == "member"
+    assert cli.main(["member", files["id2"], _nested(constructor, bound + 1)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cone expression nested deeper than {bound}"]
 
 
 def _hp_json(d, **fields):

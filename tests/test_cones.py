@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcones import cli, cones, linalg, superop
+from mapcones import cli, cones, family, linalg, superop
 from mapcones.cones import (
     MEMBER,
     NOT_MEMBER,
@@ -908,12 +908,43 @@ def test_family_split_never_certifies_family_maps_above_threshold(d, k, excess):
             for scale in SPLIT_SCALES:
                 chi = _scaled(scale, phi)
                 vals, vecs = linalg.hermitian_part_eigen(chi.choi)
-                assert cones._family_split(chi, k, vals, vecs, CFG.tol) is None
+                step = cones._family_step(chi, k, vals, vecs, CFG)
+                assert step is None or step.status != MEMBER
                 verdict = member(chi, expr, CFG)
                 assert verdict.status == NOT_MEMBER, (seed, perturb, scale)
                 assert recheck(chi, verdict)
                 psi, value, _ = witness_search(chi, expr, CFG)
                 assert value < -linalg.tolerance(chi.choi, CFG.tol)
+
+
+def test_family_step_decides_each_route_with_at_most_one_fan(monkeypatch):
+    # fan_k(vec I_3) = k: Tr - lam Ad_I is CP up to lam = 1/3 and 2-positive
+    # up to 1/2.  Each step computes fan_2(w) at most once, and not at all
+    # when the spectrum has no pattern and vals[1] <= eps
+    calls = []
+    fan = family.fan
+    monkeypatch.setattr(family, "fan", lambda *args: calls.append(args) or fan(*args))
+    eye = np.eye(3)
+    two_negative = superop.from_choi(np.diag([-1.0, -1.0] + [1.0] * 7).astype(complex), 3, 3)
+    cases = [
+        (build(PhiLambdaSpec(eye, 0.45)), MEMBER, "family_pattern", 1),
+        (build(PhiLambdaSpec(eye, 0.6)), NOT_MEMBER, "family_projection", 1),
+        (_two_positive_not_cp(3, 0), MEMBER, "family_split", 1),
+        (_family_above_k_threshold(3, 2, 0.3, 0, 1e-2), None, None, 1),
+        (two_negative, None, None, 0),
+    ]
+    for phi, status, route, fans in cases:
+        vals, vecs = linalg.hermitian_part_eigen(phi.choi)
+        assert vals[0] < -linalg.tolerance(phi.choi, CFG.tol)
+        calls.clear()
+        verdict = cones._family_step(phi, 2, vals, vecs, CFG)
+        assert len(calls) == fans, route
+        if status is None:
+            assert verdict is None
+        else:
+            assert (verdict.status, verdict.diagnostics["route"]) == (status, route)
+            assert recheck(phi, verdict)
+            assert verdict.diagnostics == member(phi, cones.Base("Pk", 2), CFG).diagnostics
 
 
 # ---------------------------------------------------------------------------

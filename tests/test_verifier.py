@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mapcones import linalg, superop, verifier
+from mapcones import cli, family, linalg, superop, verifier
 from mapcones.linalg import DimensionError, matrix_unit
 from mapcones.superop import ad_map, map_inner, vec
 
@@ -240,3 +240,23 @@ def test_prop1_fails_on_a_wrong_composition(monkeypatch):
 def test_isometry_fails_when_the_inner_product_drops_its_conjugate(monkeypatch):
     monkeypatch.setattr(superop, "map_inner_stack", lambda a, b: (a * b).sum(axis=(-2, -1)))
     assert not verifier.check_isometry(2, 3, trials=5, seed=3).passed
+
+
+def test_thm2_fails_when_the_planted_transposition_is_not_refuted(monkeypatch, capsys):
+    # the identity composed with its own adjoint is CP: nothing to refute
+    monkeypatch.setattr(verifier, "transpose_map", superop.identity_map)
+    report = verifier.check_thm2("CP", 3, 3, trials=5, seed=4)
+    assert report.passed is False
+    assert report.notes == "planted refutation FAILED"
+    assert cli.main(["verify", "--dims", "3,3", "--trials", "5", "--check", "thm2"]) == 1
+    capsys.readouterr()
+
+
+def test_thm4_fails_when_no_conjugation_refutes_above_the_threshold(monkeypatch):
+    monkeypatch.setattr(family, "truncation", lambda v, k: np.zeros_like(v))
+    assert verifier.check_thm4(3, 3, 2, trials=10, seed=4).passed is False
+
+
+def test_thm5_fails_when_the_search_accepts_above_the_threshold(monkeypatch):
+    monkeypatch.setattr(family, "brute_force_k_positivity", lambda *args: (True, None))
+    assert verifier.check_thm5(3, 3, 2, trials=10, seed=4).passed is False
