@@ -507,14 +507,20 @@ def _conjugation_witness(phi: SuperOperator, k: int, cfg: MemberConfig, v=None):
 @functools.lru_cache(maxsize=16)
 def _dual_generators(d: ConeExpr, m: int, n: int, count: int, seed):
     """The ``count`` generators of the normalized cone d that
-    :func:`_sample_stack` draws at ``seed``, as ``(s_adj, cert)``: their
-    :func:`superop.adjoint_realigned` stack S(psi)^dagger, the operand of
-    the composition matmul, and the certificate function of the draw.  The
-    generators depend on these five arguments only, not on the map tested,
-    so the last 16 draws are kept; every array here and in a certificate is
-    read-only, and a caller that writes into one gets a ValueError."""
+    :func:`_sample_stack` draws at ``seed``, as ``(s_adj, cert, cp, co_cp)``:
+    their :func:`superop.adjoint_realigned` stack S(psi)^dagger, the operand
+    of the composition matmul, the certificate function of the draw, and two
+    boolean masks over the rows, read from the certificates: ``cp`` marks
+    the generators a ``kraus`` certificate proves CP and ``co_cp`` those a
+    ``twirled`` one of a ``kraus`` proves co-CP.  The generators depend on
+    these five arguments only, not on the map tested, so the last 16 draws
+    are kept; every array here and in a certificate is read-only, and a
+    caller that writes into one gets a ValueError."""
     chois, cert = _sample_stack(d, m, n, count, seed)
-    return _read_only(superop.adjoint_realigned(chois, m, n)), cert
+    certs = [cert(i) for i in range(count)]
+    cp = np.array([c["type"] == "kraus" for c in certs])
+    co_cp = np.array([c["type"] == "twirled" and c["inner"]["type"] == "kraus" for c in certs])
+    return _read_only(superop.adjoint_realigned(chois, m, n), cp, co_cp), cert, cp, co_cp
 
 
 def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
@@ -523,36 +529,53 @@ def _dual_sampling(phi: SuperOperator, d: ConeExpr, cfg: MemberConfig):
     phi lies in a mapping cone iff psi^dagger . phi is CP for every psi in
     its dual cone.  This draws min(``cfg.samples``, 100) generators psi of d
     at seed ``cfg.seed + 3`` and takes the least Choi eigenvalue of each
-    psi^dagger . phi in one batched spectrum.  The test is at least as strong
-    as the pairing: <psi, phi> = <Omega| C(psi^dagger . phi) |Omega> for
-    Omega = sum_k e_k (x) e_k, so a negative pairing forces a negative
-    eigenvalue.  Returns ``(witness, samples, closest)``: witness is the
-    ``dual_element`` of the first psi whose eigenvalue lies below minus the
+    psi^dagger . phi that can refute phi, in one batched spectrum.  Two
+    facts rule generators out.  CP is a mapping cone, closed under
+    composition, so a CP psi never refutes a CP phi; and t . Ad_K . t =
+    Ad_conj(K), so a co-CP psi never refutes a co-CP phi either.  phi counts
+    as CP when :func:`member` certifies it in CP (the ``not_cp`` test), and
+    as co-CP when it certifies phi . t there; each test runs only when the
+    draw has rows it could rule out.  The test is at least as strong as the
+    pairing: <psi, phi> = <Omega| C(psi^dagger . phi) |Omega> for Omega =
+    sum_k e_k (x) e_k, so a negative pairing forces a negative eigenvalue.
+    Returns ``(witness, samples, closest)``: witness is the ``dual_element``
+    of the first psi whose eigenvalue lies below minus the
     ``linalg.tolerance`` of its composition, with that
     ``composition_eigenvalue`` and pairing None, or None; samples is the
-    number drawn and closest the least eigenvalue.
+    number of compositions tested and closest their least eigenvalue, None
+    when no generator of the draw can refute phi.
 
     The draw comes from :func:`_dual_generators`, a cache of the last 16
     draws keyed on (d, m, n, count, seed), which holds each one as the
-    read-only realigned adjoint stack S(psi)^dagger.  The compositions are
-    one :func:`superop.compose_realigned` matmul, bit for bit
+    read-only realigned adjoint stack S(psi)^dagger with the rows its
+    certificates prove CP or co-CP.  The compositions are one
+    :func:`superop.compose_realigned` matmul, bit for bit
     ``compose_stack(adjoint_stack(...))``, and psi is rebuilt exactly from
     its row.  Decisions at one config in one process share a draw; a single
     ``mapcones member`` or ``witness`` process draws each dual cone about
     once and gets no cache hit.
     """
     m, n = phi.dims
-    s_adj, cert = _dual_generators(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
-    comps = superop.compose_realigned(s_adj, phi.choi, m, n, m)
+    s_adj, cert, cp, co_cp = _dual_generators(d, m, n, min(cfg.samples, 100), cfg.seed + 3)
+    skip = np.zeros(len(s_adj), dtype=bool)
+    if cp.any() and member(phi, _CP, cfg).status == MEMBER:
+        skip |= cp
+    if co_cp.any() and member(phi.right_transpose(), _CP, cfg).status == MEMBER:
+        skip |= co_cp
+    rows = np.flatnonzero(~skip)
+    if rows.size == 0:
+        return None, 0, None
+    comps = superop.compose_realigned(s_adj[rows] if skip.any() else s_adj,
+                                      phi.choi, m, n, m)
     floors = linalg.hermitian_part_eigvals(comps)[:, 0]
     hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
     witness = None
     if hits.size:
-        first = hits[0]
+        first = rows[hits[0]]
         psi = SuperOperator(m, n, superop.choi_of_adjoint_realigned(s_adj[first], m, n))
         witness = {"type": "dual_element", "psi": psi, "psi_certificate": cert(first),
-                   "composition_eigenvalue": float(floors[first]), "pairing": None}
-    return witness, len(s_adj), float(floors.min())
+                   "composition_eigenvalue": float(floors[hits[0]]), "pairing": None}
+    return witness, rows.size, float(floors.min())
 
 
 def _verdict(status: str, route: str, cfg: MemberConfig, certificate=None, witness=None,
@@ -780,9 +803,11 @@ def member(phi: SuperOperator, expr: ConeExpr, cfg: MemberConfig = MemberConfig(
       Schmidt-rank-k search on Pk(k): ``sweeps``, and on ``unknown``
       ``closest_value``, the least Choi quadratic form it reached;
     * ``dual_sampling`` (SPk(k) refuted, or ``unknown``): on ``unknown``,
-      ``dual_samples`` and ``closest_composition_eigenvalue``, the least Choi
-      eigenvalue of psi^dagger . phi over the sampled generators psi of the
-      dual cone Pk(k);
+      ``dual_samples``, the number of compositions psi^dagger . phi tested,
+      and ``closest_composition_eigenvalue``, their least Choi eigenvalue
+      (None when none was tested).  They run over the sampled generators
+      psi of the dual cone Pk(k) that can refute phi: a CP psi cannot
+      refute a CP phi, nor a co-CP psi a co-CP phi (:func:`_dual_sampling`);
     * ``twirl``: ``child``, the child cone, and ``inner``, its diagnostics;
     * ``meet``: ``left`` and ``right``, the children's statuses;
     * ``join`` and ``join_dual_witness``: ``side`` on a member a child

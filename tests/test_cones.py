@@ -470,6 +470,23 @@ def _arrays(obj):
     return []
 
 
+def _refuting_rows(phi, cert, count, cfg):
+    """The rows of a draw that the composition test composes: all but the
+    ``kraus`` (CP) generators when phi is CP and the ``twirled`` ``kraus``
+    (co-CP) ones when phi is co-CP, read from the certificates."""
+    cp = member(phi, cones.Base("CP"), cfg).status == MEMBER
+    co_cp = member(phi.right_transpose(), cones.Base("CP"), cfg).status == MEMBER
+    rows = []
+    for i in range(count):
+        c = cert(i)
+        if cp and c["type"] == "kraus":
+            continue
+        if co_cp and c["type"] == "twirled" and c["inner"]["type"] == "kraus":
+            continue
+        rows.append(i)
+    return np.array(rows, dtype=int)
+
+
 def _same_certificate(a, b):
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.tobytes() == b.tobytes()
@@ -502,12 +519,15 @@ def test_cached_dual_sampling_is_the_compose_adjoint_path_bit_for_bit(m, n):
         for phi in maps:
             comps = superop.compose_stack(superop.adjoint_stack(chois, m, n), phi.choi, m, n, m)
             floors = linalg.hermitian_part_eigvals(comps)[:, 0]
-            hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
-            s_adj, _ = cones._dual_generators(d, m, n, 60, cfg.seed + 3)
+            # only the generators that can refute phi are composed
+            rows = _refuting_rows(phi, cert, 60, cfg)
+            hits = rows[floors[rows] < -linalg.tolerance(comps[rows], cfg.tol)]
+            s_adj, _, cp, co_cp = cones._dual_generators(d, m, n, 60, cfg.seed + 3)
             assert superop.compose_realigned(s_adj, phi.choi, m, n, m).tobytes() == comps.tobytes()
             for _ in ("cold", "warm"):
                 witness, samples, closest = cones._dual_sampling(phi, d, cfg)
-                assert samples == 60 and closest == floors.min()
+                assert samples == rows.size
+                assert closest == (floors[rows].min() if rows.size else None)
                 assert (witness is None) == (hits.size == 0)
                 if witness is None:
                     continue
@@ -516,7 +536,8 @@ def test_cached_dual_sampling_is_the_compose_adjoint_path_bit_for_bit(m, n):
                 assert witness["composition_eigenvalue"] == floors[first]
                 assert _same_certificate(witness["psi_certificate"], cert(first))
                 # the cached arrays are shared: no caller may write into them
-                for a in [witness["psi"].choi, s_adj] + _arrays(witness["psi_certificate"]):
+                for a in ([witness["psi"].choi, s_adj, cp, co_cp]
+                          + _arrays(witness["psi_certificate"])):
                     with pytest.raises(ValueError):
                         a[(0,) * a.ndim] = 0
     assert cones._dual_generators.cache_info().hits > 0
@@ -529,6 +550,100 @@ def test_dual_sampling_cache_keeps_at_most_its_maxsize():
     for seed in range(maxsize + 5):
         cones._dual_sampling(phi, cones.Base("Pk", 2), MemberConfig(samples=20, seed=seed))
     assert cones._dual_generators.cache_info().currsize <= maxsize
+
+
+def _rank_two_kraus_sum(rng, d=3):
+    """A sum of three rank-2 conjugations on C^d, a map in SPk(2) by
+    construction, with a Choi matrix Hermitian to the last bit."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ws = np.stack([(gauss(d, 2) @ gauss(2, d)).T.reshape(-1) for _ in range(3)], axis=1)
+    c = ws @ ws.conj().T
+    return superop.from_choi((c + c.conj().T) / 2, d, d)
+
+
+def test_composition_test_does_not_refute_a_member_by_rounding_at_tol_0():
+    # every Kraus generator composes with this CP map to a CP map, whose
+    # least Choi eigenvalue, 0 in exact arithmetic, is rounding noise; at
+    # tol = 0 such noise refuted the map although it lies in SPk(2)
+    phi = _rank_two_kraus_sum(np.random.default_rng(1))
+    spk2 = cones.Base("SPk", 2)
+    for cfg in (MemberConfig(tol=0.0), MemberConfig()):
+        verdict = member(phi, spk2, cfg)
+        assert verdict.diagnostics["route"] == "dual_sampling"
+        assert verdict.status == UNKNOWN
+        assert verdict.diagnostics["dual_samples"] == 50
+        assert verdict.diagnostics["closest_composition_eigenvalue"] > 0
+        assert recheck(phi, verdict, cfg.tol)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_ruled_out_generators_cannot_refute(m, n):
+    # a CP map composed with any CP generator, and a co-CP map with any
+    # co-CP generator, is CP: the composition test loses no refutation
+    rng = np.random.default_rng([m, n, 29])
+    kmax = min(m, n)
+    cp_draws = [cones.Base("Pk", k) for k in range(1, kmax)]
+    cp_draws += [cones.Base("CP"), cones.Base("SPk", 1)]
+    cases = [(superop.random_cp_map(m, n, rng, r), "kraus", cp_draws) for r in (1, 2, 4)]
+    cases += [(superop.random_cp_map(m, n, rng, r).right_transpose(), "twirled",
+               [cones.Base("Pk", 1), cones.Twirl(cones.Base("CP"))]) for r in (1, 2, 4)]
+    for phi, kind, draws in cases:
+        for d in draws:
+            chois, cert = cones._sample_stack(d, m, n, 60, 7)
+            _, _, cp, co_cp = cones._dual_generators(d, m, n, 60, 7)
+            certs = [cert(i) for i in range(60)]
+            assert np.array_equal(cp, [c["type"] == "kraus" for c in certs])
+            assert np.array_equal(co_cp, [c["type"] == "twirled" and c["inner"]["type"] == "kraus"
+                                          for c in certs])
+            rows = np.flatnonzero(cp if kind == "kraus" else co_cp)
+            assert rows.size
+            comps = superop.compose_stack(superop.adjoint_stack(chois[rows], m, n),
+                                          phi.choi, m, n, m)
+            floors = linalg.hermitian_part_eigvals(comps)[:, 0]
+            assert np.all(floors >= -linalg.tolerance(comps, CFG.tol))
+
+
+def _spk_non_members(d, rng):
+    """Maps outside SPk(k) for every k < d: Ad_U + t Tr for a Haar unitary U,
+    and at d = 3 the isotropic maps (1 - t) Ad_I / d + t Tr / d^2, whose
+    Choi fidelity with the maximally entangled state, 1 - 8 t / 9, exceeds
+    2/3 for t < 3/8."""
+    maps = [superop.from_choi(ad_map(linalg.random_unitary(d, rng)).choi
+                              + t * np.eye(d * d), d, d) for t in (0.01, 0.05, 0.2)]
+    if d == 3:
+        omega = superop.vec(np.eye(3))
+        maps += [superop.from_choi((1 - t) * np.outer(omega, omega) / 3 + t * np.eye(9) / 9, 3, 3)
+                 for t in (0.0, 0.1, 0.2, 0.3, 0.37)]
+    return maps
+
+
+def test_spk_refutations_are_the_first_hit_of_the_unskipped_loop():
+    refuted = 0
+    for d in (3, 4):
+        cases = [(k, MemberConfig(tol=tol, samples=samples, seed=d + k))
+                 for tol in (1e-12, 1e-9, 1e-6) for samples in (20, 100) for k in range(1, d)]
+        for phi in _spk_non_members(d, np.random.default_rng(d)):
+            for k, cfg in cases:
+                verdict = member(phi, cones.Base("SPk", k), cfg)
+                assert verdict.diagnostics["route"] == "dual_sampling"
+                # every generator composed, as the test ran without the skip
+                chois, cert = cones._sample_stack(cones.Base("Pk", k), d, d, cfg.samples,
+                                                  cfg.seed + 3)
+                comps = superop.compose_stack(superop.adjoint_stack(chois, d, d),
+                                              phi.choi, d, d, d)
+                floors = linalg.hermitian_part_eigvals(comps)[:, 0]
+                hits = np.flatnonzero(floors < -linalg.tolerance(comps, cfg.tol))
+                if hits.size == 0:
+                    assert verdict.status == UNKNOWN
+                    continue
+                refuted += 1
+                first, wit = hits[0], verdict.witness
+                assert verdict.status == NOT_MEMBER
+                assert wit["psi"].choi.tobytes() == chois[first].tobytes()
+                assert wit["composition_eigenvalue"] == floors[first]
+                assert _same_certificate(wit["psi_certificate"], cert(first))
+    assert refuted >= 100
 
 
 def test_unknown_verdicts_report_the_closest_approach():
@@ -559,11 +674,21 @@ def test_unknown_verdicts_report_the_closest_approach():
     phi = superop.from_kraus(ops)
     verdict = member(phi, normalize(parse_cone("SPk(2)"), 3, 3), CFG)
     assert verdict.status == UNKNOWN
+    # phi is CP, so the half of the generators that are Kraus maps is not composed
+    _, cert = cones._sample_stack(cones.Base("Pk", 2), 3, 3, 100, CFG.seed + 3)
+    rows = _refuting_rows(phi, cert, 100, CFG)
+    assert verdict.diagnostics["dual_samples"] == rows.size == 50
     gens = sample_generators(cones.Base("Pk", 2), 3, 3, 100, CFG.seed + 3)
-    closest = min(linalg.hermitian_part_eigen(g.adjoint().compose(phi).choi)[0][0]
-                  for g in gens)
+    closest = min(linalg.hermitian_part_eigen(gens[i].adjoint().compose(phi).choi)[0][0]
+                  for i in rows)
     assert closest >= -CFG.tol
     assert abs(verdict.diagnostics["closest_composition_eigenvalue"] - closest) <= 1e-12
+    # the dual of join(SPk(2),t(SPk(2))) is sampled from rank-one
+    # conjugations, all CP: none can refute the CP phi, and none is composed
+    verdict = member(phi, normalize(parse_cone("join(SPk(2),t(SPk(2)))"), 3, 3), CFG)
+    assert verdict.status == UNKNOWN and verdict.diagnostics["route"] == "join"
+    assert verdict.diagnostics["dual_samples"] == 0
+    assert verdict.diagnostics["closest_composition_eigenvalue"] is None
     # Phi[2,1,0] is positive with product-vector minimum 0: the Pk exit names
     # its search and reports the least quadratic form the search reached
     phi = _rotated(_ckl_choi(2.0, 1.0, 0.0), 5)
