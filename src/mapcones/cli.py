@@ -5,7 +5,7 @@ forms of :mod:`linalg` and :mod:`superop`.  Exit codes: 0 member / success,
 1 not-member / failed verification, 2 unknown, 64 usage or cone-grammar
 error, 65 dimension mismatch, 66 malformed input: an unreadable or malformed
 input file, an unwritable ``--output``, or an out-of-range option value
-(``--samples 0``, ``--trials 0``, ``--tol nan``).  Errors reach :func:`main`,
+(``--samples 0``, ``--trials 0``, ``--tol nan``, ``--seed -1``).  Errors reach :func:`main`,
 which maps each to its code by one table and prints one ``error:`` line.
 """
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "membership.")
     tol_help = ("decision tolerance, relative to the largest Choi entry (verify: the "
                 "absolute tolerance of its checks); default 1e-9")
-    seed_help = "seed of every random start and sample; default 0"
+    seed_help = "seed of every random start and sample, a non-negative integer; default 0"
     samples_help = ("dual-cone generators for the composition test, which draws at most "
                     "100 of them; default 500")
     parser.add_argument("--tol", type=float, default=1e-9, help=tol_help)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # checks --tol and --samples for every command, not only member and witness
+        # checks --tol, --samples and --seed for every command, not only member and witness
         args.cfg = MemberConfig(tol=args.tol, samples=args.samples, seed=args.seed)
         return args.func(args)
     except _MALFORMED as exc:

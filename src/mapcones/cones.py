@@ -99,117 +99,92 @@ class ConeGrammarError(ValueError):
     """Raised on unparseable or out-of-range cone expressions."""
 
 
-_TOKEN = re.compile(r"\s*(Pk|SPk|CP|P|SP|t|meet|join|dual|\(|\)|,|\d+)")
+# The cone language, written once for parse_cone and format_cone: the
+# constructors with their node classes and arities, the bases without an
+# index, and the bases that take one.
+_CONSTRUCTORS = {"t": (Twirl, 1), "dual": (Dual, 1), "meet": (Meet, 2), "join": (Join, 2)}
+_ALIASES = {"P": Base("Pk", 1), "SP": Base("SPk", 1), "CP": Base("CP")}
+_INDEXED = ("Pk", "SPk")
+_NAMES = {cls: name for name, (cls, _) in _CONSTRUCTORS.items()}
+_ALIAS_NAMES = {base: name for name, base in _ALIASES.items()}
+# a token is a run of letters, a run of digits or one of "(),"; the last
+# alternative catches every other character outside whitespace
+_TOKEN = re.compile(r"[A-Za-z]+|\d+|[(),]|(\S)")
 # the most constructors (t, dual, meet, join) that may enclose a subexpression;
 # the parser and the decisions recurse once per level
 _MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ConeGrammarError(f"unexpected input at {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.group(1):
+            raise ConeGrammarError(f"unexpected input at {text[m.start():]!r}")
+        tokens.append(m.group())
     return tokens
 
 
 def parse_cone(text: str) -> ConeExpr:
     """Parse the grammar ``P | SP | CP | Pk(k) | SPk(k) | t(e) | meet(e,e) | join(e,e) | dual(e)``,
     with at most ``_MAX_NESTING`` constructors around any subexpression."""
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = iter(_tokenize(text))
 
     def expect(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "<end>"
+        got = next(tokens, "<end>")
+        if got != tok:
             raise ConeGrammarError(f"expected {tok!r}, got {got!r}")
-        pos += 1
 
     def expr(depth: int = 0) -> ConeExpr:
-        nonlocal pos
         if depth > _MAX_NESTING:
             raise ConeGrammarError(f"cone expression nested deeper than {_MAX_NESTING}")
-        if pos >= len(tokens):
-            raise ConeGrammarError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "P":
-            return Base("Pk", 1)
-        if tok == "SP":
-            return Base("SPk", 1)
-        if tok == "CP":
-            return Base("CP")
-        if tok in ("Pk", "SPk"):
+        tok = next(tokens, "<end>")
+        if tok in _ALIASES:
+            return _ALIASES[tok]
+        if tok in _INDEXED:
             expect("(")
-            if pos >= len(tokens) or not tokens[pos].isdigit():
-                raise ConeGrammarError(f"{tok} needs an integer argument")
-            k = int(tokens[pos])
+            arg = next(tokens, "<end>")
+            try:
+                k = int(arg) if arg.isdecimal() else 0
+            except ValueError as exc:  # more digits than int() converts
+                raise ConeGrammarError(f"{tok} index has too many digits") from exc
             if k < 1:
-                raise ConeGrammarError(f"{tok} index must be >= 1, got {k}")
-            pos += 1
+                raise ConeGrammarError(f"{tok} needs an integer index >= 1, got {arg!r}")
             expect(")")
             return Base(tok, k)
-        if tok == "t":
-            expect("(")
-            child = expr(depth + 1)
-            expect(")")
-            return Twirl(child)
-        if tok == "dual":
-            expect("(")
-            child = expr(depth + 1)
-            expect(")")
-            return Dual(child)
-        if tok in ("meet", "join"):
-            expect("(")
-            left = expr(depth + 1)
-            expect(",")
-            right = expr(depth + 1)
-            expect(")")
-            return (Meet if tok == "meet" else Join)(left, right)
-        raise ConeGrammarError(f"unexpected token {tok!r}")
+        if tok not in _CONSTRUCTORS:
+            raise ConeGrammarError(f"unexpected {tok!r}")
+        cls, arity = _CONSTRUCTORS[tok]
+        args = []
+        for i in range(arity):
+            expect("," if i else "(")
+            args.append(expr(depth + 1))
+        expect(")")
+        return cls(*args)
 
     result = expr()
-    if pos != len(tokens):
-        raise ConeGrammarError(f"trailing input {tokens[pos:]!r}")
+    trailing = list(tokens)
+    if trailing:
+        raise ConeGrammarError(f"trailing input {trailing!r}")
     return result
 
 
 def format_cone(expr: ConeExpr) -> str:
     if isinstance(expr, Base):
-        if expr.kind == "CP":
-            return "CP"
-        if expr.k == 1:
-            return "P" if expr.kind == "Pk" else "SP"
-        return f"{expr.kind}({expr.k})"
-    if isinstance(expr, Twirl):
-        return f"t({format_cone(expr.child)})"
-    if isinstance(expr, Meet):
-        return f"meet({format_cone(expr.left)},{format_cone(expr.right)})"
-    if isinstance(expr, Join):
-        return f"join({format_cone(expr.left)},{format_cone(expr.right)})"
-    if isinstance(expr, Dual):
-        return f"dual({format_cone(expr.child)})"
-    raise TypeError(f"not a cone expression: {expr!r}")
+        return _ALIAS_NAMES.get(expr) or f"{expr.kind}({expr.k})"
+    if type(expr) not in _NAMES:
+        raise TypeError(f"not a cone expression: {expr!r}")
+    return f"{_NAMES[type(expr)]}({','.join(map(format_cone, vars(expr).values()))})"
 
 
 def dual_expr(expr: ConeExpr) -> ConeExpr:
     """Dual of a normalized cone expression; the result contains no Dual nodes."""
     if isinstance(expr, Base):
-        if expr.kind == "CP":
-            return expr
-        return Base("SPk" if expr.kind == "Pk" else "Pk", expr.k)
+        return expr if expr.kind == "CP" else Base("SPk" if expr.kind == "Pk" else "Pk", expr.k)
     if isinstance(expr, Twirl):
         return _collapse_twirl(Twirl(dual_expr(expr.child)))
-    if isinstance(expr, Meet):
-        return Join(dual_expr(expr.left), dual_expr(expr.right))
-    if isinstance(expr, Join):
-        return Meet(dual_expr(expr.left), dual_expr(expr.right))
+    if isinstance(expr, (Meet, Join)):
+        swapped = Join if isinstance(expr, Meet) else Meet
+        return swapped(dual_expr(expr.left), dual_expr(expr.right))
     raise TypeError(f"dual of unnormalized expression: {expr!r}")
 
 
@@ -227,24 +202,22 @@ def normalize(expr: ConeExpr, m: int, n: int) -> ConeExpr:
     """Resolve aliases against dims, validate k-ranges and eliminate duals."""
     kmax = min(m, n)
     if isinstance(expr, Base):
-        if expr.kind == "CP":
-            return expr
-        if not 1 <= expr.k <= kmax:
-            raise ConeGrammarError(
-                f"index k={expr.k} out of range 1..{kmax} for dims ({m},{n})"
-            )
-        if expr.k == kmax:
-            return Base("CP")
-        return expr
+        if expr.kind != "CP" and not 1 <= expr.k <= kmax:
+            raise ConeGrammarError(f"index k={expr.k} out of range 1..{kmax} for dims ({m},{n})")
+        return Base("CP") if expr.k == kmax else expr
     if isinstance(expr, Twirl):
         return _collapse_twirl(Twirl(normalize(expr.child, m, n)))
-    if isinstance(expr, Meet):
-        return Meet(normalize(expr.left, m, n), normalize(expr.right, m, n))
-    if isinstance(expr, Join):
-        return Join(normalize(expr.left, m, n), normalize(expr.right, m, n))
+    if isinstance(expr, (Meet, Join)):
+        return type(expr)(normalize(expr.left, m, n), normalize(expr.right, m, n))
     if isinstance(expr, Dual):
         return dual_expr(normalize(expr.child, m, n))
     raise TypeError(f"not a cone expression: {expr!r}")
+
+
+def _chain_place(base: Base) -> tuple[int, int]:
+    """A base cone's place on the chain SPk(1) < SPk(2) < ... < CP < ... < Pk(2) < Pk(1)."""
+    side = {"SPk": -1, "CP": 0, "Pk": 1}[base.kind]
+    return side, -side * base.k
 
 
 def includes(outer: ConeExpr, inner: ConeExpr) -> bool:
@@ -268,12 +241,7 @@ def includes(outer: ConeExpr, inner: ConeExpr) -> bool:
     if isinstance(inner, Join):
         return includes(outer, inner.left) and includes(outer, inner.right)
     if isinstance(outer, Base) and isinstance(inner, Base):
-        if inner.kind == "SPk":
-            return outer.kind in ("CP", "Pk") or (outer.kind == "SPk" and inner.k <= outer.k)
-        if inner.kind == "CP":
-            return outer.kind == "Pk"
-        if inner.kind == "Pk":
-            return outer.kind == "Pk" and outer.k <= inner.k
+        return _chain_place(inner) <= _chain_place(outer)
     if isinstance(outer, Twirl) and isinstance(inner, Twirl):
         return includes(outer.child, inner.child)
     return False
@@ -297,8 +265,8 @@ class MemberConfig:
     owns its restarts, sweeps and stops, and the alternating projections
     that decide join(CP, t(CP)) stop at the first certificate or witness or
     after ``linalg.MAX_SWEEPS`` sweeps.
-    A config with ``samples`` below 1, or with a ``tol`` that is negative
-    or not finite, raises ValueError.
+    A config with ``samples`` below 1, a negative ``seed``, or a ``tol``
+    that is negative or not finite raises ValueError.
     """
 
     tol: float = 1e-9
@@ -308,6 +276,8 @@ class MemberConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 

@@ -250,8 +250,7 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng) -> np.ndarray:
-    g = random_complex((dim, dim), rng)
-    return (g + g.conj().T) / 2
+    return _hermitian_part(random_complex((dim, dim), rng))
 
 
 def matrix_to_json(m) -> dict:

@@ -87,10 +87,9 @@ def check_prop1(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> CheckRe
     gaps.append(inner(comp(alpha_phi, beta, m, m, n), psi)
                 - inner(phi, comp(comp(alpha_a, psi, m, n, n), beta_a, m, m, n)))
     gaps.append(inner(phi, psi) - inner(psi_a, phi_a))
-    # images[z, k, l] = phi(f_kl), then alpha applied to each image
-    units = np.eye(m * m).reshape(m, m, m, m)
-    images = np.einsum("klab,zaibj->zklij", units, phi.reshape(trials, m, n, m, n),
-                       optimize=True)
+    # images[z, k, l] = phi(f_kl), the (k, l) block of the Choi matrix, then
+    # alpha applied to each image
+    images = phi.reshape(trials, m, n, m, n).transpose(0, 1, 3, 2, 4)
     direct = np.einsum("zklij,ziajb->zkalb", images, alpha.reshape(trials, n, n, n, n),
                        optimize=True)
     worst = max(np.abs(gaps).max(),
@@ -102,12 +101,10 @@ def check_isometry(m: int, n: int, trials: int, seed, tol: float = 1e-9) -> Chec
     """The Choi transform is an isometry: the basis-sum inner product equals
     the Hilbert-Schmidt product of the Choi matrices."""
     chois = np.stack(linalg.random_complex_trials([(m * n, m * n)] * 2, trials, seed), axis=1)
-    # images[z, p, k, l] = Phi(f_kl) for the map p of trial z; contiguous,
-    # so that the sum below reduces in the same order whatever layout the
-    # optimized einsum returns
-    units = np.eye(m * m).reshape(m, m, m, m)
-    images = np.ascontiguousarray(np.einsum(
-        "klab,zpaibj->zpklij", units, chois.reshape(trials, 2, m, n, m, n), optimize=True))
+    # images[z, p, k, l] = Phi(f_kl), the (k, l) Choi block of the map p of
+    # trial z; contiguous, so that the sum below reduces in a fixed order
+    images = np.ascontiguousarray(
+        chois.reshape(trials, 2, m, n, m, n).transpose(0, 1, 2, 4, 3, 5))
     by_sum = (images[:, 0] * images[:, 1].conj()).sum(axis=(1, 2, 3, 4))
     by_choi = superop.map_inner_stack(chois[:, 0], chois[:, 1])
     return _report(CHECK_IDS["isometry"], m, n, trials, np.abs(by_sum - by_choi).max(),

@@ -270,6 +270,9 @@ _RESIDUE_PAIR = [superop.superop_to_json(superop.from_choi(c, 3, 3)) for c in (
     pytest.param(["member", _hp_entries([[5]]), "P"], 66, id="one_number_entry"),
     pytest.param(["member", "--tol", "nan", _hp_json(2), "P"], 66, id="nan_tol"),
     pytest.param(["member", "--tol", "-1", _hp_json(2), "P"], 66, id="negative_tol"),
+    # a negative seed is malformed before any route runs, whatever the cone
+    pytest.param(["member", _hp_json(3), "CP", "--seed", "-1"], 66, id="cp_negative_seed"),
+    pytest.param(["member", _hp_json(3), "P", "--seed", "-1"], 66, id="p_negative_seed"),
     pytest.param(["verify", "--dims", "2,2", "--trials", "3", "--tol", "nan"], 66,
                  id="verify_nan_tol"),
     pytest.param(["phi-lambda", "--v", linalg.matrix_to_json(np.eye(3)), "--lambda", "0.6",

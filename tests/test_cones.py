@@ -51,7 +51,7 @@ def test_parse_format_roundtrip(text, pretty):
 
 @pytest.mark.parametrize("bad", [
     "", "P(", "Pk()", "Pk(0)", "Pk(x)", "meet(P)", "join(P,Q)", "dual",
-    "P extra", "t(t", "Qk(2)",
+    "P extra", "t(t", "Qk(2)", "Pk(-1)", "Pk(²)", "P+", "Ｐ", "meet(P CP)", "tt(CP)",
 ])
 def test_grammar_errors(bad):
     with pytest.raises(ConeGrammarError):
@@ -110,6 +110,59 @@ def test_includes_chain():
     assert includes(nc("meet(Pk(2),P)"), nc("CP"))
 
 
+_BASES = st.one_of(st.just(cones.Base("CP")),
+                   st.builds(cones.Base, st.sampled_from(["Pk", "SPk"]), st.integers(1, 5)))
+_TREES = st.recursive(_BASES, lambda sub: st.one_of(
+    st.builds(cones.Twirl, sub), st.builds(cones.Dual, sub),
+    st.builds(cones.Meet, sub, sub), st.builds(cones.Join, sub, sub)), max_leaves=10)
+# the language's tokens, whitespace, and characters outside it: letters and a
+# digit beyond ASCII, and ASCII that no token uses
+_PIECES = ["P", "SP", "CP", "Pk", "SPk", "t", "dual", "meet", "join", "(", ")", ",", "0", "2",
+           "12", " ", "\t", "é", "+", "_", "Ｐ", "٢"]
+
+
+@settings(deadline=None)
+@given(_TREES)
+def test_parse_inverts_format(expr):
+    assert parse_cone(format_cone(expr)) == expr
+
+
+@st.composite
+def _spliced(draw):
+    """A formatted cone with up to three pieces spliced in."""
+    text = format_cone(draw(_TREES))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i:]
+    return text
+
+
+@settings(deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join), _spliced()))
+def test_any_text_parses_to_a_fixed_point_or_is_a_grammar_error(text):
+    try:
+        expr = parse_cone(text)
+    except ConeGrammarError:
+        return
+    assert parse_cone(format_cone(expr)) == expr
+
+
+def test_an_index_beyond_int_conversion_is_a_grammar_error():
+    with pytest.raises(ConeGrammarError):
+        parse_cone("Pk(" + "1" * 5000 + ")")
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_includes_and_dual_follow_the_base_chain(d):
+    # SP = SPk(1) < ... < SPk(d-1) < CP < Pk(d-1) < ... < Pk(1) = P, written out
+    chain = [f"SPk({k})" for k in range(1, d)] + ["CP"] + [f"Pk({k})" for k in range(d - 1, 0, -1)]
+    bases = [normalize(parse_cone(text), d, d) for text in chain]
+    for i, inner in enumerate(bases):
+        for j, outer in enumerate(bases):
+            assert includes(outer, inner) == (i <= j), (chain[j], chain[i])
+    assert [dual_expr(b) for b in bases] == bases[::-1]
+
+
 # (outer, inner) pairs that includes() accepts, one or more rules each
 INCLUDED = [("P", "Pk(2)"), ("Pk(2)", "CP"), ("CP", "SPk(2)"), ("join(CP,t(CP))", "CP"),
             ("CP", "meet(CP,t(CP))"), ("t(Pk(2))", "t(CP)"), ("meet(Pk(2),P)", "CP")]
@@ -135,8 +188,8 @@ def test_config_dict_keeps_field_order():
 
 
 @pytest.mark.parametrize("fields", [
-    {"samples": 0}, {"tol": -1e-9}, {"tol": float("nan")}, {"tol": float("inf")},
-], ids=["samples_0", "negative_tol", "nan_tol", "inf_tol"])
+    {"samples": 0}, {"tol": -1e-9}, {"tol": float("nan")}, {"tol": float("inf")}, {"seed": -1},
+], ids=["samples_0", "negative_tol", "nan_tol", "inf_tol", "negative_seed"])
 def test_config_rejects_out_of_range_fields(fields):
     with pytest.raises(ValueError):
         MemberConfig(**fields)
